@@ -8,7 +8,8 @@ measure so that EXPERIMENTS.md can be checked against `pytest benchmarks/
 
 ``write_bench_results`` additionally persists machine-readable results to
 ``BENCH_<name>.json`` at the repo root so the performance trajectory can be
-tracked across PRs (and diffed in CI).
+tracked across PRs (and diffed in CI) — under ``pytest --runslow`` only, so
+a plain tier-1 run never rewrites a tracked file.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from repro import Database, EngineConfig
 
 #: Repo root (bench_utils lives in <root>/benchmarks/).
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Whether :func:`write_bench_results` writes.  ``benchmarks/conftest.py``
+#: sets it from ``--runslow``: verifying a change with plain ``pytest`` must
+#: leave the tracked ``BENCH_*.json`` files (and ``git status``) clean.
+persist_results = False
 
 
 @pytest.fixture
@@ -52,8 +58,11 @@ def write_bench_results(name: str, results: dict, meta: dict = None) -> str:
     ``results`` maps series names to arbitrary JSON-serialisable payloads;
     existing series with other names are preserved, so several tests (and
     several runs) can contribute to one file.  Returns the file path.
+    A no-op unless :data:`persist_results` is set (``pytest --runslow``).
     """
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
+    if not persist_results:
+        return path
     payload = {}
     if os.path.exists(path):
         try:

@@ -4,9 +4,10 @@ Usage (CI): ``python benchmarks/check_bench_regression.py``
 
 Snapshots the committed ``BENCH_streaming.json``, runs the smoke benchmarks
 of ``test_bench_streaming_executor.py``, ``test_bench_txn_commit.py``,
-``test_bench_qps_concurrent.py`` and ``test_bench_foreign_scan.py`` (which
-merge fresh numbers into the same file), and compares every ``seconds``
-leaf present in both versions.
+``test_bench_qps_concurrent.py`` and ``test_bench_foreign_scan.py`` under
+``--runslow`` (the flag that lets them merge fresh numbers into the same
+file; ``-k smoke`` keeps the slow variants out), and compares every
+``seconds`` leaf present in both versions.
 
 Because the committed baseline comes from a different machine, raw ratios
 are first normalized by the *median* fresh/baseline ratio across all shared
@@ -33,11 +34,10 @@ THRESHOLD = 2.0
 def load_baseline():
     """The *committed* baseline, straight from git.
 
-    The working-tree copy is not trustworthy here: any earlier tier-1 run in
-    the same job (plain ``pytest`` collects the smoke benchmarks, which call
-    ``write_bench_results``) will already have overwritten the file with
-    this machine's fresh numbers, and comparing those to themselves can
-    never detect a regression.
+    The working-tree copy is not trustworthy here: an earlier ``--runslow``
+    run in the same job will already have overwritten the file with this
+    machine's fresh numbers, and comparing those to themselves can never
+    detect a regression.
     """
     try:
         shown = subprocess.run(
@@ -80,7 +80,7 @@ def main() -> int:
          "benchmarks/test_bench_txn_commit.py",
          "benchmarks/test_bench_qps_concurrent.py",
          "benchmarks/test_bench_foreign_scan.py",
-         "-q", "-k", "smoke"],
+         "-q", "--runslow", "-k", "smoke"],
         cwd=REPO_ROOT, env=env,
     )
     if result.returncode != 0:

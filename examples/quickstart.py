@@ -157,8 +157,8 @@ def main() -> None:
     # -- batch mode, range scans, and disk spilling at scale -------------------
     demo_batches_and_spilling()
 
-    # -- parallel spill partitions + the decoded-page cache --------------------
-    demo_parallel_and_decoded_cache()
+    # -- the decoded-page cache ------------------------------------------------
+    demo_decoded_cache()
 
     # -- the DB-API surface: parameters, prepared plans ------------------------
     demo_parameterized_queries()
@@ -231,45 +231,24 @@ def demo_providers() -> None:
     db.close()
 
 
-def demo_parallel_and_decoded_cache() -> None:
-    """PR-7 knobs: spill partitions fan out to a worker pool, and repeated
-    scans reuse decoded pages instead of re-deserializing them.
+def demo_decoded_cache() -> None:
+    """Repeated scans reuse decoded pages instead of re-deserializing them.
 
-    See docs/TUNING.md (`parallel_workers`, `decoded_page_cache_pages`) and
-    docs/ARCHITECTURE.md ("Parallel execution", "Decoded-page cache").
+    See docs/TUNING.md (`decoded_page_cache_pages`) and docs/ARCHITECTURE.md
+    ("Decoded-page cache").
     """
     import time
 
     # Pool large enough to hold the whole table: decoded entries are dropped
     # whenever their raw page is evicted, so the cache needs the pages to
     # stay resident to pay off.
-    db = Database(pool_size=512, memory_budget_rows=800)
+    db = Database(pool_size=512)
     db.execute("CREATE TABLE hits (hid INTEGER PRIMARY KEY, tag INTEGER, "
                "w FLOAT)")
-    db.execute("CREATE TABLE ref (rid INTEGER PRIMARY KEY, hid INTEGER)")
-    hits, ref = db.table("hits"), db.table("ref")
+    hits = db.table("hits")
     for i in range(8_000):
         hits.insert_row({"hid": i, "tag": i % 50, "w": i * 0.25})
-        ref.insert_row({"rid": i, "hid": i})
     db.execute("ANALYZE")
-
-    # The same over-budget join, serial vs. a 4-worker pool.  The output is
-    # bit-for-bit identical — the pool only changes who processes each
-    # spill partition, never the emission order.
-    join = "SELECT hits.hid, ref.rid FROM hits, ref WHERE hits.hid = ref.hid"
-    db.config.join_strategy = "hash"
-    serial_rows = db.query(join).rows
-    db.config.parallel_workers = 4
-    print("\nEXPLAIN of the spilled join with a 4-worker pool:")
-    print("  " + db.explain(join).message.replace("\n", "\n  "))
-    parallel_rows = db.query(join).rows
-    assert [r.values for r in parallel_rows] == [r.values for r in serial_rows]
-    event = db.engine.last_spill.events("hash_join")[0]
-    workers = sorted({t["worker"] for t in event["partition_timings"]})
-    print(f"{event['partitions']} partitions processed by workers "
-          f"{workers}; {len(parallel_rows)} rows, identical to the serial run")
-    db.config.parallel_workers = 0
-    db.config.join_strategy = "auto"
 
     # Decoded-page cache: the second identical scan skips deserialization.
     scan = "SELECT hid, w FROM hits WHERE w >= 100.0"

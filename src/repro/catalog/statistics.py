@@ -101,9 +101,9 @@ class StatisticsManager:
         self._stats: Dict[str, TableStatistics] = {}
         self._dml_since_analyze: Dict[str, int] = {}
         self.auto_refresh = auto_refresh
-        #: Guards the staleness counters: parallel spill workers may touch
-        #: planner statistics concurrently with the main thread's DML
-        #: bookkeeping, and ``dict.get`` + ``=`` is not atomic.
+        #: Guards the staleness counters: DML bookkeeping arrives on server
+        #: worker threads (and on any threads sharing an embedded database),
+        #: and ``dict.get`` + ``=`` is not atomic.
         self._dml_lock = threading.Lock()
 
     # ------------------------------------------------------------------

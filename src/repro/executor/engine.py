@@ -53,7 +53,6 @@ from repro.executor.prepared import (
     PreparedStatement,
     bind_plan,
 )
-from repro.executor.parallel import MaybeParallel, validated_worker_count
 from repro.index.manager import IndexManager
 from repro.planner import plan as planlib
 from repro.providers.manager import ForeignTableManager
@@ -115,9 +114,6 @@ class EngineConfig:
     #: where applicable; "nested_loop" reproduces the naive cross-product
     #: pipeline and is the differential baseline.
     join_strategy: str = "auto"
-    #: In "auto" mode, prefer sort-merge over hash once the estimated build
-    #: side exceeds this many rows (grace-hash stand-in).
-    hash_join_max_build_rows: int = 4_000_000
     #: Operator pipeline mode: "streaming" (batched vectorized iterators —
     #: the default), "row" (row-at-a-time iterators, the pre-batching
     #: pipeline kept as the streaming baseline), or "materialized" (every
@@ -153,13 +149,6 @@ class EngineConfig:
     #: Batch concurrent committers into one WAL fsync (group commit).  With
     #: it off every commit pays its own fsync.
     group_commit: bool = True
-    #: Worker threads for intra-query parallelism over *spill partitions*
-    #: (Grace hash-join partitions, spilled GROUP BY / DISTINCT partitions,
-    #: external-sort runs).  ``0`` (the default) and ``1`` run serially on
-    #: the calling thread; ``N >= 2`` fans partitions out over a bounded
-    #: thread pool.  Output values, row order, and annotation identity are
-    #: identical at every worker count.
-    parallel_workers: int = 0
     #: Pages held by the buffer pool's decoded-record cache (decoded tuple
     #: lists keyed by ``(table, page, schema version)``), letting repeated
     #: scans skip record deserialization.  ``0`` (the default) disables the
@@ -210,10 +199,6 @@ class EngineConfig:
             raise PlanningError(
                 f"unknown synchronous mode {self.synchronous!r}; "
                 f"expected one of {SYNCHRONOUS_MODES}")
-        try:
-            validated_worker_count(self.parallel_workers)
-        except ValueError as exc:
-            raise PlanningError(str(exc)) from None
         if not isinstance(self.decoded_page_cache_pages, int) \
                 or isinstance(self.decoded_page_cache_pages, bool) \
                 or self.decoded_page_cache_pages < 0:
@@ -330,10 +315,6 @@ class Engine:
         #: read the plan of thread B's query, and worse, B's bound
         #: parameters could leak into A's statement.
         self._query_local = _QueryLocal()
-        #: The cached worker facade behind spill-partition parallelism.  One
-        #: pool lives across queries (thread startup is not free) and is
-        #: recreated only when ``config.parallel_workers`` changes.
-        self._parallel: Optional[MaybeParallel] = None
         #: Prepared-plan cache keyed on (SQL text, SELECT-block ordinal,
         #: EngineConfig fingerprint), invalidated by the catalog schema
         #: version (see :class:`~repro.executor.prepared.PlanCache`).
@@ -590,22 +571,6 @@ class Engine:
         decoded.set_capacity(self.config.decoded_page_cache_pages)
         self.last_cache = DecodedCacheView(decoded.stats)
 
-    def _parallel_pool(self) -> MaybeParallel:
-        """The engine-wide worker facade, rebuilt on a knob change.
-
-        Worker threads persist across queries; changing
-        ``config.parallel_workers`` shuts the old pool down (waiting for any
-        straggling tasks) and starts fresh.
-        """
-        workers = self.config.parallel_workers
-        parallel = self._parallel
-        if parallel is None or parallel.workers != workers:
-            if parallel is not None:
-                parallel.shutdown()
-            parallel = MaybeParallel(workers)
-            self._parallel = parallel
-        return parallel
-
     def _spill_manager(self) -> Optional[SpillManager]:
         """A spill coordinator, or ``None`` without a budget.
 
@@ -619,8 +584,7 @@ class Engine:
         if budget is None:
             return None
         return SpillManager(budget, stats=self.last_spill,
-                            directory=self.config.spill_directory,
-                            parallel=self._parallel_pool())
+                            directory=self.config.spill_directory)
 
     def _stage(self, relation: ops.Relation) -> ops.Relation:
         """Adapt one pipeline stage's output to the configured execution mode.
@@ -1123,20 +1087,13 @@ class Engine:
             list_indexes=list_indexes,
             foreign_info=foreign_info if foreign_names else None,
             strategy=self.config.join_strategy,
-            # With a memory budget, huge builds are what the Grace hash
-            # join handles; auto must not escape to merge join, whose
-            # inputs cannot spill yet and would materialize unbounded.
-            hash_max_build_rows=(float("inf")
-                                 if self.config.memory_budget_rows is not None
-                                 else self.config.hash_join_max_build_rows),
             order_hint=order_hint,
             base_row_estimate=lambda qualifier: float(
                 statistics.row_count_estimate(table_of[qualifier])),
             limit_hint=select.limit if order_hint is not None else None,
             memory_budget_rows=self.config.memory_budget_rows,
         )
-        planlib.annotate_spill_expectations(plan, self.config.memory_budget_rows,
-                                            self.config.parallel_workers)
+        planlib.annotate_spill_expectations(plan, self.config.memory_budget_rows)
         return plan, pushed, remaining, order_hint
 
     def _order_through_hash(self) -> bool:
@@ -1302,20 +1259,14 @@ class Engine:
         if remaining:
             text += f"\nResidual filter: {len(remaining)} conjunct(s)"
         budget = self.config.memory_budget_rows
-        workers = self.config.parallel_workers
-        parallel_suffix = (f" [parallel: {workers} workers]"
-                           if budget is not None and workers >= 2 else "")
         has_aggregates = self._select_has_aggregates(node)
         if budget is not None:
             plan_dict["memory_budget_rows"] = budget
-            if workers >= 2:
-                plan_dict["parallel_workers"] = workers
             if has_aggregates and node.group_by \
                     and plan.estimated_rows > budget:
                 partitions = planlib.estimated_spill_partitions(
                     plan.estimated_rows, budget)
-                text += (f"\nAggregate [spill: {partitions} partitions]"
-                         f"{parallel_suffix}")
+                text += f"\nAggregate [spill: {partitions} partitions]"
                 plan_dict["aggregate_spill_partitions"] = partitions
             if has_aggregates and node.order_by:
                 # The sort runs over the *grouped* output, so its spill
@@ -1324,7 +1275,7 @@ class Engine:
                 grouped = self._estimated_group_rows(node, plan, table_refs)
                 if grouped > budget:
                     runs = planlib.estimated_sort_runs(grouped, budget)
-                    text += f"\nSort [external: {runs} runs]{parallel_suffix}"
+                    text += f"\nSort [external: {runs} runs]"
                     plan_dict["sort"] = "external"
         if node.order_by and not has_aggregates:
             elided = (order_hint is not None
@@ -1338,7 +1289,7 @@ class Engine:
                 plan_dict["sort"] = "elided"
             elif budget is not None and plan.estimated_rows > budget:
                 runs = planlib.estimated_sort_runs(plan.estimated_rows, budget)
-                text += f"\nSort [external: {runs} runs]{parallel_suffix}"
+                text += f"\nSort [external: {runs} runs]"
                 plan_dict["sort"] = "external"
         return plan_dict, text
 

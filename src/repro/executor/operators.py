@@ -32,7 +32,6 @@ The propagation rules follow Section 3.4 of the paper:
 from __future__ import annotations
 
 import heapq
-import time
 from itertools import chain, islice
 from operator import itemgetter
 from typing import (
@@ -60,7 +59,6 @@ from repro.executor.row import (
     concat_annotation_vectors,
     merge_annotation_vectors,
 )
-from repro.executor.parallel import worker_label
 from repro.storage.spill import MAX_SPILL_DEPTH, SpillFile, SpillManager
 from repro.planner.expressions import (
     AggregateState,
@@ -513,10 +511,6 @@ _Entry = Tuple[Tuple[Any, ...], Optional[List[Set[Any]]]]
 #: Rows per chunk when adapting a row/entry stream to the batched shape.
 _ENTRY_CHUNK_ROWS = 1024
 
-#: Above this many external-sort runs, a parallel query pre-merges groups of
-#: this size on the worker pool before the final k-way merge.
-_SORT_PREMERGE_FANIN = 8
-
 
 def _chunk_entries(entries: Iterable[_Entry],
                    chunk_rows: int = _ENTRY_CHUNK_ROWS
@@ -562,17 +556,11 @@ class _HashJoin:
     (recursing with a re-salted hash on partitions that still exceed the
     budget, up to :data:`MAX_SPILL_DEPTH`).
 
-    Two refinements on the classic Grace scheme:
-
-    * **Hybrid**: partition 0 of the build side stays resident in memory
-      (it is already decoded when the spill triggers), so its probe rows
-      join immediately instead of taking a disk round trip.  If partition 0
-      alone outgrows the budget it is demoted to disk like the others.
-    * **Parallel**: with ``parallel_workers`` > 0 the spilled partition
-      pairs are joined on the spill manager's worker pool.  Results are
-      emitted strictly in partition order (identical to the serial path);
-      each worker buffers one partition's output batches, trading bounded
-      memory for overlap.
+    One refinement on the classic Grace scheme — **hybrid**: partition 0 of
+    the build side stays resident in memory (it is already decoded when the
+    spill triggers), so its probe rows join immediately instead of taking a
+    disk round trip.  If partition 0 alone outgrows the budget it is demoted
+    to disk like the others.
     """
 
     def __init__(self, left_schema: OutputSchema, right_schema: OutputSchema,
@@ -851,43 +839,18 @@ class _HashJoin:
     def _join_partitions(self, build_files: List[Optional[SpillFile]],
                          probe_files: List[Optional[SpillFile]]
                          ) -> Iterator[RowBatch]:
-        """Join the spilled partition pairs, fanning out across the worker
-        pool when the query runs parallel.  Output order is strictly
-        partition order either way."""
-        pairs = [(index, build, probe)
-                 for index, (build, probe)
-                 in enumerate(zip(build_files, probe_files))
-                 if build is not None]
-        stats = self.spill.stats
-
-        def join_pair(pair) -> List[RowBatch]:
-            index, build_file, probe_file = pair
-            started = time.perf_counter()
-            batches = list(self._join_partition(build_file, probe_file,
-                                                depth=1))
-            stats.note_partition(
-                self.event, partition=index,
-                rows=sum(len(batch.values) for batch in batches),
-                seconds=time.perf_counter() - started, worker=worker_label())
-            return batches
-
-        parallel = self.spill.parallel
-        if not parallel.parallel or len(pairs) <= 1:
-            # Serial: stream each partition's output instead of buffering it.
-            for index, build_file, probe_file in pairs:
-                started = time.perf_counter()
-                rows = 0
+        """Join the spilled partition pairs in partition order, streaming
+        each pair's output."""
+        for index, (build_file, probe_file) in enumerate(zip(build_files,
+                                                             probe_files)):
+            if build_file is None:
+                continue
+            with self.spill.stats.timed_partition(
+                    self.event, partition=index, rows=0) as timing:
                 for batch in self._join_partition(build_file, probe_file,
                                                   depth=1):
-                    rows += len(batch.values)
+                    timing["rows"] += len(batch.values)
                     yield batch
-                stats.note_partition(
-                    self.event, partition=index, rows=rows,
-                    seconds=time.perf_counter() - started,
-                    worker=worker_label())
-            return
-        for batches in parallel.map_ordered(join_pair, pairs):
-            yield from batches
 
     def _join_partition(self, build_file: SpillFile, probe_file: SpillFile,
                         depth: int) -> Iterator[RowBatch]:
@@ -908,7 +871,7 @@ class _HashJoin:
         """An oversized partition: split it again with a re-salted hash."""
         fanout = self.partitions
         salt = depth
-        self.spill.stats.note_event(self.event, "recursive_splits")
+        self.event["recursive_splits"] += 1
         sub_build = [self.spill.new_file() for _ in range(fanout)]
         for values, anns in build_file.entries():
             key = self._key_of(self.build_keys, values)
@@ -1065,7 +1028,7 @@ def merge_join(left: Relation, right: Relation,
             event[0] = spill.stats.record("merge_join", sort_runs=0,
                                           spilled_groups=0,
                                           spilled_unmatched=0)
-        spill.stats.note_event(event[0], key)
+        event[0][key] += 1
 
     def sorted_pairs(rows_in: Iterable[Row], getters,
                      nulls: Optional[_SpillableRowBuffer]
@@ -1577,23 +1540,14 @@ def group_and_aggregate(relation: Relation, group_by: Sequence[ast.Expression],
             files[bucket].append(row.values, row._annotations)
         event["spilled_rows"] = sum(f.rows_written for f in files)
 
-        def run_partition(pair: Tuple[int, SpillFile]) -> List[Row]:
-            index, handle = pair
-            started = time.perf_counter()
-            out = list(grouped_partition(handle.entries(),
-                                         handle.rows_written, depth=1))
-            handle.close()
-            spill.stats.note_partition(
-                event, partition=index, rows=len(out),
-                seconds=time.perf_counter() - started, worker=worker_label())
-            return out
-
-        # Partitions are grouped independently (on the worker pool when the
-        # query runs parallel) and emitted in partition order — the same
-        # order the serial loop produced.
-        for out in spill.parallel.map_ordered(run_partition,
-                                              list(enumerate(files))):
-            yield from out
+        for index, handle in enumerate(files):
+            with spill.stats.timed_partition(event, partition=index,
+                                             rows=0) as timing:
+                for row in grouped_partition(handle.entries(),
+                                             handle.rows_written, depth=1):
+                    timing["rows"] += 1
+                    yield row
+                handle.close()
 
     def output_rows() -> Iterator[Row]:
         if not group_keys:
@@ -1830,20 +1784,13 @@ def distinct(relation: Relation,
         # Dedup each partition (recursively), then k-way merge the
         # seq-ordered partition outputs to restore the exact first-seen
         # order — streaming from disk, never holding the operator's whole
-        # output in memory.  Partition dedup fans out across the worker
-        # pool when the query runs parallel: each worker reads and writes
-        # only its own partition's files, so the outputs are identical.
-        def dedup_one(pair: Tuple[int, SpillFile]) -> SpillFile:
-            index, handle = pair
-            started = time.perf_counter()
-            out = distinct_partition(handle, depth=1)
-            spill.stats.note_partition(
-                event, partition=index, rows=out.rows_written,
-                seconds=time.perf_counter() - started, worker=worker_label())
-            return out
-
-        output_files = list(spill.parallel.map_ordered(
-            dedup_one, list(enumerate(files))))
+        # output in memory.
+        output_files: List[SpillFile] = []
+        for index, handle in enumerate(files):
+            with spill.stats.timed_partition(event, partition=index) as timing:
+                out = distinct_partition(handle, depth=1)
+                timing["rows"] = out.rows_written
+            output_files.append(out)
         merged_entries = heapq.merge(*(read_back(out) for out in output_files),
                                      key=lambda entry: entry[0])
         for _, values, anns in merged_entries:
@@ -1896,73 +1843,33 @@ def order_by(relation: Relation, order_items: Sequence[ast.OrderItem],
             for evaluate, ascending in compiled)
 
     def external_rows(iterator: Iterator[Row], budget: int) -> Iterator[Row]:
-        parallel = spill.parallel
         event: Optional[Dict[str, Any]] = None
-        pending: List[Any] = []  # futures of SpillFile, in run order
-
-        def write_run(index: int, run_buffer: List[Row]) -> SpillFile:
-            started = time.perf_counter()
-            run_buffer.sort(key=sort_key)
-            run = spill.new_file()
-            for sorted_row in run_buffer:
-                run.append(sorted_row.values, sorted_row._annotations)
-            spill.stats.note_partition(
-                event, run=index, rows=run.rows_written,
-                seconds=time.perf_counter() - started, worker=worker_label())
-            return run
-
+        runs: List[SpillFile] = []
         buffer: List[Row] = []
         for row in iterator:
             buffer.append(row)
             if len(buffer) >= budget:
                 if event is None:
                     event = spill.stats.record("sort", runs=0, spilled_rows=0)
-                index, chunk, buffer = len(pending), buffer, []
-                pending.append(parallel.submit(
-                    lambda index=index, chunk=chunk: write_run(index, chunk)))
-                # Backpressure: at most workers + 1 unsorted run buffers may
-                # be in flight, so parallel run generation stays within a
-                # small multiple of the row budget.
-                if len(pending) > parallel.workers:
-                    pending[-parallel.workers - 1].result()
+                with spill.stats.timed_partition(event,
+                                                 run=len(runs)) as timing:
+                    buffer.sort(key=sort_key)
+                    run = spill.new_file()
+                    for sorted_row in buffer:
+                        run.append(sorted_row.values, sorted_row._annotations)
+                    timing["rows"] = run.rows_written
+                runs.append(run)
+                buffer = []
         buffer.sort(key=sort_key)
-        if not pending:
+        if not runs:
             yield from buffer
             return
-        runs: List[SpillFile] = [future.result() for future in pending]
         event["runs"] = len(runs) + (1 if buffer else 0)
         event["spilled_rows"] = sum(run.rows_written for run in runs)
 
         def run_stream(run: SpillFile) -> Iterator[Row]:
             return (Row(values, anns) for values, anns in run.entries())
 
-        if parallel.parallel and len(runs) > _SORT_PREMERGE_FANIN:
-            # Parallel pre-merge: groups of runs merge into single files on
-            # the pool, shrinking the final merge's fan-in.  Groups keep run
-            # order and the final merge prefers earlier groups, so ties
-            # still resolve to earlier runs — input order, like the serial
-            # path.
-            def merge_group(pair: Tuple[int, List[SpillFile]]) -> SpillFile:
-                index, group = pair
-                started = time.perf_counter()
-                sink = spill.new_file()
-                for merged_row in heapq.merge(*(run_stream(run)
-                                                for run in group),
-                                              key=sort_key):
-                    sink.append(merged_row.values, merged_row._annotations)
-                for run in group:
-                    run.close()
-                spill.stats.note_partition(
-                    event, merge_group=index, rows=sink.rows_written,
-                    seconds=time.perf_counter() - started,
-                    worker=worker_label())
-                return sink
-
-            groups = [runs[i:i + _SORT_PREMERGE_FANIN]
-                      for i in range(0, len(runs), _SORT_PREMERGE_FANIN)]
-            event["premerge_groups"] = len(groups)
-            runs = list(parallel.map_ordered(merge_group,
-                                             list(enumerate(groups))))
         streams: List[Iterator[Row]] = [run_stream(run) for run in runs]
         if buffer:
             streams.append(iter(buffer))
@@ -2079,9 +1986,8 @@ def intersect(left: Relation, right: Relation,
     keeping state only for values the right side contains — so with the
     right side under ``spill.budget_rows`` nothing else can grow.  A right
     side beyond the budget hash-partitions both inputs on the value tuple;
-    partitions intersect independently (on the worker pool when the query
-    runs parallel) and a k-way merge on the left side's first-seen sequence
-    restores the exact in-memory output order.
+    partitions intersect independently and a k-way merge on the left side's
+    first-seen sequence restores the exact in-memory output order.
     """
     _check_arity(left, right, "INTERSECT")
     schema = left[0]
@@ -2115,9 +2021,8 @@ def intersect(left: Relation, right: Relation,
         event["spilled_rows"] = sum(f.rows_written for f in right_files) \
             + sum(f.rows_written for f in left_files)
 
-        def intersect_partition(pair) -> SpillFile:
-            index, (right_file, left_file) = pair
-            started = time.perf_counter()
+        def intersect_partition(right_file: SpillFile,
+                                left_file: SpillFile) -> SpillFile:
             rmap: Dict[Tuple[Any, ...], Any] = {}
             for values, anns in right_file.entries():
                 if values not in rmap:
@@ -2141,14 +2046,14 @@ def intersect(left: Relation, right: Relation,
                 sequence_no, left_union = groups[values]
                 merged = emit(values, left_union, rmap[values])
                 out.append((sequence_no,) + values, merged.annotations)
-            spill.stats.note_partition(
-                event, partition=index, rows=out.rows_written,
-                seconds=time.perf_counter() - started, worker=worker_label())
             return out
 
-        outputs = list(spill.parallel.map_ordered(
-            intersect_partition,
-            list(enumerate(zip(right_files, left_files)))))
+        outputs: List[SpillFile] = []
+        for index, pair in enumerate(zip(right_files, left_files)):
+            with spill.stats.timed_partition(event, partition=index) as timing:
+                out = intersect_partition(*pair)
+                timing["rows"] = out.rows_written
+            outputs.append(out)
 
         def read_back(out: SpillFile):
             for tagged, anns in out.entries():
@@ -2226,9 +2131,8 @@ def except_(left: Relation, right: Relation,
         event["spilled_rows"] = sum(f.rows_written for f in right_files) \
             + sum(f.rows_written for f in left_files)
 
-        def except_partition(pair) -> SpillFile:
-            index, (right_file, left_file) = pair
-            started = time.perf_counter()
+        def except_partition(right_file: SpillFile,
+                             left_file: SpillFile) -> SpillFile:
             excluded = {values for values, _ in right_file.entries()}
             right_file.close()
             out = spill.new_file()
@@ -2236,14 +2140,14 @@ def except_(left: Relation, right: Relation,
                 if tagged[1:] not in excluded:
                     out.append(tagged, anns)
             left_file.close()
-            spill.stats.note_partition(
-                event, partition=index, rows=out.rows_written,
-                seconds=time.perf_counter() - started, worker=worker_label())
             return out
 
-        outputs = list(spill.parallel.map_ordered(
-            except_partition,
-            list(enumerate(zip(right_files, left_files)))))
+        outputs: List[SpillFile] = []
+        for index, pair in enumerate(zip(right_files, left_files)):
+            with spill.stats.timed_partition(event, partition=index) as timing:
+                out = except_partition(*pair)
+                timing["rows"] = out.rows_written
+            outputs.append(out)
 
         def read_back(out: SpillFile):
             for tagged, anns in out.entries():

@@ -139,11 +139,6 @@ class JoinPlan:
     #: the build is expected to fit in memory.  Set by
     #: :func:`annotate_spill_expectations`, rendered by EXPLAIN.
     spill_partitions: Optional[int] = None
-    #: Worker fan-out the executor will apply to this node's spill
-    #: partitions (``EngineConfig.parallel_workers`` when >= 2 and the node
-    #: is expected to spill); ``None`` means serial partition processing.
-    #: Set by :func:`annotate_spill_expectations`, rendered by EXPLAIN.
-    parallel_workers: Optional[int] = None
 
 
 PlanNode = Union[ScanPlan, JoinPlan]
@@ -576,8 +571,13 @@ def _order_keys_for_index(index: Any, left_keys: List[ast.ColumnRef],
 # ---------------------------------------------------------------------------
 # Strategy selection
 # ---------------------------------------------------------------------------
+#: In "auto" mode without a memory budget, prefer sort-merge over hash once
+#: the estimated build side exceeds this many rows.
+HASH_JOIN_MAX_BUILD_ROWS = 4_000_000
+
+
 def choose_strategy(left_rows: float, right_rows: float, forced: str,
-                    hash_max_build_rows: float,
+                    memory_budget_rows: Optional[int],
                     index_available: bool = False) -> str:
     """Pick the physical strategy for an equi-join edge.
 
@@ -595,8 +595,12 @@ def choose_strategy(left_rows: float, right_rows: float, forced: str,
             return "index_nested_loop"
         if left_rows <= right_rows:
             return "index_nested_loop"
-    build = min(left_rows, right_rows)
-    return "merge" if build > hash_max_build_rows else "hash"
+    # With a memory budget, huge builds are what the Grace hash join handles;
+    # auto must not escape to merge join there.
+    if memory_budget_rows is None \
+            and min(left_rows, right_rows) > HASH_JOIN_MAX_BUILD_ROWS:
+        return "merge"
+    return "hash"
 
 
 def _edge_cardinality(left_rows: float, right_rows: float,
@@ -622,7 +626,6 @@ def plan_select_joins(from_refs: Sequence[ast.TableRef],
                       type_category: Optional[TypeCategory] = None,
                       list_indexes: Optional[ListIndexes] = None,
                       strategy: str = "auto",
-                      hash_max_build_rows: float = 4_000_000.0,
                       order_hint: Optional[Tuple[str, ...]] = None,
                       base_row_estimate: Optional[RowEstimator] = None,
                       limit_hint: Optional[int] = None,
@@ -745,7 +748,7 @@ def plan_select_joins(from_refs: Sequence[ast.TableRef],
             pending_edges.remove(edge)
         join_index = covering_join_index(right.table, right_keys, list_indexes)
         picked = choose_strategy(plan.estimated_rows, right.estimated_rows,
-                                 strategy, hash_max_build_rows,
+                                 strategy, memory_budget_rows,
                                  index_available=join_index is not None)
         if picked == "index_nested_loop":
             left_keys, right_keys = _order_keys_for_index(join_index, left_keys,
@@ -774,8 +777,7 @@ def plan_select_joins(from_refs: Sequence[ast.TableRef],
         right = scan_node(join.table)
         plan = _plan_explicit_join(plan, right, join, joined, resolvable,
                                    type_category, ndv_estimate, list_indexes,
-                                   strategy, hash_max_build_rows,
-                                   memory_budget_rows)
+                                   strategy, memory_budget_rows)
         joined.add(right.qualifier)
 
     # Residual pushdown into the tree: each remaining conjunct is attached to
@@ -811,7 +813,7 @@ def _plan_explicit_join(plan: PlanNode, right: ScanPlan, join: ast.Join,
                         type_category: Optional[TypeCategory],
                         ndv_estimate: NdvEstimator,
                         list_indexes: Optional[ListIndexes],
-                        strategy: str, hash_max_build_rows: float,
+                        strategy: str,
                         memory_budget_rows: Optional[int] = None) -> JoinPlan:
     """Strategy selection for a JOIN ... ON clause (order is preserved)."""
     if join.join_type == "CROSS" or join.condition is None:
@@ -836,7 +838,7 @@ def _plan_explicit_join(plan: PlanNode, right: ScanPlan, join: ast.Join,
         ndvs.append(_edge_ndv(edge, joined, ndv_estimate))
     join_index = covering_join_index(right.table, right_keys, list_indexes)
     picked = choose_strategy(plan.estimated_rows, right.estimated_rows,
-                             strategy, hash_max_build_rows,
+                             strategy, memory_budget_rows,
                              index_available=join_index is not None)
     estimate = _edge_cardinality(plan.estimated_rows, right.estimated_rows, ndvs)
     if join.join_type == "LEFT":
@@ -887,8 +889,7 @@ def estimated_sort_runs(rows: float, budget_rows: int) -> int:
 
 
 def annotate_spill_expectations(node: PlanNode,
-                                budget_rows: Optional[int],
-                                parallel_workers: int = 0) -> None:
+                                budget_rows: Optional[int]) -> None:
     """Mark the hash joins whose build side is expected to exceed the memory
     budget with the partition fan-out the executor should use.
 
@@ -896,23 +897,17 @@ def annotate_spill_expectations(node: PlanNode,
     (``HashJoin ... [spill: N partitions]``) and the engine passes the
     fan-out to the operator as its ``spill_partitions`` hint.  The executor
     still spills adaptively when estimates are wrong — the annotation is a
-    prediction, actual activity lands in ``engine.last_spill``.  When the
-    engine runs spill partitions on a worker pool (``parallel_workers`` >=
-    2), the expected-to-spill nodes carry that fan-out too, so EXPLAIN shows
-    ``[parallel: N workers]`` exactly where workers would engage.
+    prediction, actual activity lands in ``engine.last_spill``.
     """
     if isinstance(node, ScanPlan):
         return
-    annotate_spill_expectations(node.left, budget_rows, parallel_workers)
-    annotate_spill_expectations(node.right, budget_rows, parallel_workers)
+    annotate_spill_expectations(node.left, budget_rows)
+    annotate_spill_expectations(node.right, budget_rows)
     node.spill_partitions = None
-    node.parallel_workers = None
     if budget_rows is not None and node.strategy == "hash" \
             and node.right.estimated_rows > budget_rows:
         node.spill_partitions = estimated_spill_partitions(
             node.right.estimated_rows, budget_rows)
-        if parallel_workers >= 2:
-            node.parallel_workers = parallel_workers
 
 
 # ---------------------------------------------------------------------------
@@ -1153,8 +1148,6 @@ def plan_to_dict(node: PlanNode) -> Dict[str, Any]:
         result["index"] = node.index_name
     if node.spill_partitions is not None:
         result["spill_partitions"] = node.spill_partitions
-    if node.parallel_workers is not None:
-        result["parallel_workers"] = node.parallel_workers
     return result
 
 
@@ -1201,8 +1194,6 @@ def format_plan(node: PlanNode, indent: int = 0) -> str:
         detail += f" [filter: {predicates}]"
     if node.spill_partitions is not None:
         detail += f" [spill: {node.spill_partitions} partitions]"
-    if node.parallel_workers is not None:
-        detail += f" [parallel: {node.parallel_workers} workers]"
     header = (f"{pad}{STRATEGY_LABELS[node.strategy]} [{node.join_type}]{detail} "
               f"(est. rows={node.estimated_rows:.0f})")
     return "\n".join([header,

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import struct
 import tempfile
-import threading
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -65,18 +66,14 @@ class SpillStats:
     input rows an operator pushed out of memory, read its event (e.g.
     ``build_rows``/``probe_rows``/``spilled_rows``).
 
-    All mutation goes through the internal lock: with
-    ``EngineConfig.parallel_workers`` > 0, partition workers append spill
-    rows and per-partition timings concurrently, and the stats object is
-    shared by every spill manager of the query.
+    Not thread-safe: a stats object belongs to one query, which runs on one
+    thread (it is shared only by that query's spill managers).
     """
 
     spill_files: int = 0
     spilled_rows: int = 0
     spilled_bytes: int = 0
     operators: List[Dict[str, Any]] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     @property
     def spilled(self) -> bool:
@@ -86,33 +83,23 @@ class SpillStats:
         """Append (and return) an operator event; callers may update it as
         execution proceeds, since the dict is shared by reference."""
         event = {"operator": operator, **info}
-        with self._lock:
-            self.operators.append(event)
+        self.operators.append(event)
         return event
 
-    def note_file(self) -> None:
-        with self._lock:
-            self.spill_files += 1
+    @contextmanager
+    def timed_partition(self, event: Dict[str, Any],
+                        **info: Any) -> Iterator[Dict[str, Any]]:
+        """Time the processing of one partition (or sort run) of ``event``.
 
-    def note_io(self, rows: int, nbytes: int) -> None:
-        with self._lock:
-            self.spilled_rows += rows
-            self.spilled_bytes += nbytes
-
-    def note_event(self, event: Dict[str, Any], key: str,
-                   delta: int = 1) -> None:
-        """Atomically increment a counter inside a shared operator event."""
-        with self._lock:
-            event[key] = event.get(key, 0) + delta
-
-    def note_partition(self, event: Dict[str, Any], **info: Any) -> None:
-        """Append one per-partition timing/attribution record to an event.
-
-        Workers call this concurrently; records therefore arrive in
-        *completion* order — sort by ``partition`` for a stable view.
+        Yields the record (``info``; the body may add to it, e.g. ``rows``)
+        and, once the body completes, appends it with its wall-clock
+        ``seconds`` to the event's ``partition_timings``.  A partition whose
+        consumer stops early records nothing.
         """
-        with self._lock:
-            event.setdefault("partition_timings", []).append(dict(info))
+        started = time.perf_counter()
+        yield info
+        info["seconds"] = time.perf_counter() - started
+        event.setdefault("partition_timings", []).append(info)
 
     def events(self, operator: str) -> List[Dict[str, Any]]:
         return [e for e in self.operators if e["operator"] == operator]
@@ -146,39 +133,21 @@ class SpillManager:
     """
 
     def __init__(self, budget_rows: int, stats: Optional[SpillStats] = None,
-                 directory: Optional[str] = None, parallel: Optional[Any] = None):
+                 directory: Optional[str] = None):
         if budget_rows <= 0:
             raise StorageError(f"spill budget must be positive, got {budget_rows}")
         self.budget_rows = budget_rows
         self.directory = directory
         self.stats = stats if stats is not None else SpillStats()
-        if parallel is None:
-            # Imported lazily: the storage layer must not import the executor
-            # package at module load (repro.executor.__init__ imports the
-            # engine, which imports this module).
-            from repro.executor.parallel import MaybeParallel
-            parallel = MaybeParallel(0)
-        #: Serial/parallel dispatch facade (``MaybeParallel``) the spilling
-        #: operators fan partition work out through.  Workers share this
-        #: manager, so interning and stats below are lock-protected.
-        self.parallel = parallel
         self._annotations: List[Any] = []
         self._indices: Dict[Any, int] = {}
-        self._intern_lock = threading.Lock()
 
     # -- annotation interning -------------------------------------------
     def intern_annotation(self, annotation: Any) -> int:
         index = self._indices.get(annotation)
         if index is None:
-            with self._intern_lock:
-                index = self._indices.get(annotation)
-                if index is None:
-                    # Append before publishing the index: a concurrent
-                    # ``resolve_annotation`` may only ever see indices whose
-                    # list slot already exists.
-                    self._annotations.append(annotation)
-                    index = len(self._annotations) - 1
-                    self._indices[annotation] = index
+            index = self._indices[annotation] = len(self._annotations)
+            self._annotations.append(annotation)
         return index
 
     def resolve_annotation(self, index: int) -> Any:
@@ -186,7 +155,7 @@ class SpillManager:
 
     # -- files -----------------------------------------------------------
     def new_file(self) -> "SpillFile":
-        self.stats.note_file()
+        self.stats.spill_files += 1
         return SpillFile(self)
 
     def partition_count(self, estimated_rows: Optional[float] = None) -> int:
@@ -231,7 +200,9 @@ class SpillFile:
         self._file.write(record)
         self.rows_written += 1
         self.bytes_written += len(record)
-        self.manager.stats.note_io(1, len(record))
+        stats = self.manager.stats
+        stats.spilled_rows += 1
+        stats.spilled_bytes += len(record)
 
     def _encode_annotations(self, annotations: Sequence[Set[Any]]) -> bytes:
         intern = self.manager.intern_annotation

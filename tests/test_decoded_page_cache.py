@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro import Database
+import pytest
+
+from repro import Database, EngineConfig
+from repro.core.errors import PlanningError
 from repro.storage.buffer_pool import DecodedCacheView, DecodedPageCache
 
 
@@ -109,6 +112,18 @@ QUERY = "SELECT id, v FROM t WHERE v >= 50.0"
 
 
 class TestEngineIntegration:
+    def test_config_rejects_bad_cache_pages(self):
+        with pytest.raises(PlanningError):
+            EngineConfig(decoded_page_cache_pages=-1)
+        with pytest.raises(PlanningError):
+            EngineConfig(decoded_page_cache_pages=True)
+
+    def test_knob_participates_in_plan_cache_fingerprint(self):
+        config = EngineConfig()
+        base = config.fingerprint()
+        config.decoded_page_cache_pages = 64
+        assert config.fingerprint() != base
+
     def test_disabled_by_default(self):
         db = build_db(rows=500)
         db.query(QUERY)

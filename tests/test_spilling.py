@@ -11,7 +11,9 @@ same answers as the in-memory path, and report the spill through EXPLAIN
 and ``engine.last_spill``.
 
 The differential matrix rows that force spilling across strategy × mode ×
-batch size live in ``tests/test_join_differential.py``.
+batch size live in ``tests/test_join_differential.py``; the annotated
+query-shape matrix below (every spilling breaker × strategy × mode against
+the in-memory run) anchors values, order keys and annotation identity.
 """
 
 from __future__ import annotations
@@ -502,10 +504,12 @@ class TestSpillSurface:
         finally:
             large_db.config.memory_budget_rows = None
 
-    def test_auto_keeps_spillable_hash_for_huge_builds_under_budget(self):
+    def test_auto_keeps_spillable_hash_for_huge_builds_under_budget(
+            self, monkeypatch):
         """Without a budget, auto escapes huge builds to merge join; with
         one, it must stay on hash — merge inputs cannot spill yet, so the
         escape would defeat the budget at exactly the scale it targets."""
+        from repro.planner import plan as planlib
         from repro.planner.plan import plan_strategies
         db = Database()
         db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
@@ -514,7 +518,8 @@ class TestSpillSurface:
             db.table("a").insert_row({"id": i})
             db.table("b").insert_row({"id": i, "fk": i})
         db.analyze()
-        db.config.hash_join_max_build_rows = 10  # both sides "huge"
+        # Both sides "huge".
+        monkeypatch.setattr(planlib, "HASH_JOIN_MAX_BUILD_ROWS", 10)
         query = "SELECT a.id FROM a, b WHERE a.id = b.fk"
         try:
             db.query(query)
@@ -536,6 +541,232 @@ class TestSpillSurface:
             assert not large_db.engine.last_spill.spilled
         finally:
             large_db.config.memory_budget_rows = None
+
+
+# ---------------------------------------------------------------------------
+# The spilling query-shape matrix
+# ---------------------------------------------------------------------------
+def build_spill_db() -> Database:
+    """Two annotated tables sized so every breaker spills under budget 48."""
+    db = Database()
+    db.execute("CREATE TABLE fact (id INTEGER, k INTEGER, v FLOAT, s TEXT)")
+    db.execute("CREATE TABLE dim (k INTEGER, label TEXT)")
+    db.execute("CREATE ANNOTATION TABLE fnote ON fact")
+    db.execute("CREATE ANNOTATION TABLE dnote ON dim")
+    for i in range(600):
+        k = "NULL" if i % 13 == 0 else str(i % 40)
+        db.execute(f"INSERT INTO fact VALUES ({i}, {k}, {(i * 37) % 100}.25, "
+                   f"'s{i % 23}')")
+    for i in range(90):
+        k = "NULL" if i % 11 == 0 else str(i % 50)
+        db.execute(f"INSERT INTO dim VALUES ({k}, 'd{i % 7}')")
+    # NaN sort/group keys can't be written as SQL literals; plant them
+    # through the catalog so the matrix covers NaN bucketing too.
+    fact = db.catalog.table("fact")
+    for tuple_id in range(0, 600, 17):
+        fact.update_row(tuple_id, {"v": NAN})
+    db.execute("ADD ANNOTATION TO fact.fnote VALUE 'hot row' "
+               "ON (SELECT f.id FROM fact f WHERE f.id < 120)")
+    db.execute("ADD ANNOTATION TO fact.fnote VALUE 'curated' "
+               "ON (SELECT f.s FROM fact f WHERE f.k = 7)")
+    db.execute("ADD ANNOTATION TO dim.dnote VALUE 'dimension' "
+               "ON (SELECT d.label FROM dim d WHERE d.k < 25)")
+    return db
+
+
+#: Every spilling breaker: Grace/hybrid hash join, spilled GROUP BY,
+#: spilled DISTINCT, external sort, merge-join duplicate groups,
+#: INTERSECT/EXCEPT partitioning, and spilled DISTINCT-aggregate seen-sets.
+SPILL_SHAPES = {
+    "join_ordered": (
+        "SELECT f.id, d.label FROM fact ANNOTATION(fnote) f, "
+        "dim ANNOTATION(dnote) d WHERE f.k = d.k ORDER BY f.id, d.label"
+    ),
+    "join_streamed": (
+        "SELECT f.id, d.label FROM fact ANNOTATION(fnote) f, "
+        "dim ANNOTATION(dnote) d WHERE f.k = d.k"
+    ),
+    "left_join": (
+        "SELECT f.id, d.label FROM fact ANNOTATION(fnote) f "
+        "LEFT JOIN dim ANNOTATION(dnote) d ON f.k = d.k ORDER BY f.id, d.label"
+    ),
+    "group_by": (
+        "SELECT k, COUNT(*), SUM(v) FROM fact ANNOTATION(fnote) GROUP BY k"
+    ),
+    "distinct": "SELECT DISTINCT k, s FROM fact ANNOTATION(fnote)",
+    "order_by": "SELECT id, v FROM fact ANNOTATION(fnote) ORDER BY v",
+    "distinct_aggregate": (
+        "SELECT COUNT(DISTINCT id), COUNT(DISTINCT s), SUM(v) "
+        "FROM fact ANNOTATION(fnote)"
+    ),
+    "intersect": "SELECT k FROM fact INTERSECT SELECT k FROM dim",
+    "except": "SELECT k FROM fact EXCEPT SELECT k FROM dim",
+}
+
+STRATEGIES = ("auto", "hash", "merge")
+MODES = ("streaming", "row", "materialized")
+BUDGET = 48
+
+
+def ordered_snapshot(result):
+    """Exact output: values, order, and annotation identity per column."""
+    rows = []
+    for row in result.rows:
+        annotations = tuple(
+            tuple(sorted((a.annotation_table, a.ann_id) for a in anns))
+            for anns in row.annotations
+        )
+        rows.append((tuple(repr(v) for v in row.values), annotations))
+    return rows
+
+
+def run_shape(db: Database, query: str, budget, strategy: str = "auto",
+              mode: str = "streaming"):
+    db.config.memory_budget_rows = budget
+    db.config.join_strategy = strategy
+    db.config.execution_mode = mode
+    try:
+        return ordered_snapshot(db.query(query))
+    finally:
+        db.config.memory_budget_rows = None
+        db.config.join_strategy = "auto"
+        db.config.execution_mode = "streaming"
+
+
+@pytest.fixture(scope="module")
+def spill_db() -> Database:
+    return build_spill_db()
+
+
+@pytest.mark.parametrize("shape", sorted(SPILL_SHAPES))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", MODES)
+def test_spilled_matches_in_memory(spill_db, shape, strategy, mode):
+    """The budgeted run agrees with the unbudgeted in-memory run under every
+    strategy and execution mode — values and annotation identity, as a
+    multiset (spilling may legitimately reorder shapes without ORDER BY)."""
+    query = SPILL_SHAPES[shape]
+    spilled = run_shape(spill_db, query, BUDGET, strategy, mode)
+    in_memory = run_shape(spill_db, query, None, strategy, mode)
+    assert sorted(spilled, key=repr) == sorted(in_memory, key=repr)
+
+
+def test_matrix_actually_spills(spill_db):
+    """Guard against the matrix silently shrinking below the budget: the
+    join, group-by, distinct, sort, set-op, and distinct-aggregate shapes
+    must each report spill activity."""
+    seen = set()
+    for shape, query in SPILL_SHAPES.items():
+        run_shape(spill_db, query, BUDGET,
+                  "hash" if "join" in shape else "auto")
+        seen |= {event["operator"]
+                 for event in spill_db.engine.last_spill.operators}
+    assert {"hash_join", "group_by", "distinct", "sort", "intersect",
+            "except", "distinct_aggregate"} <= seen
+
+
+def test_merge_join_spills_under_budget(spill_db):
+    run_shape(spill_db, SPILL_SHAPES["join_streamed"], BUDGET, "merge")
+    operators = {event["operator"]
+                 for event in spill_db.engine.last_spill.operators}
+    assert "merge_join" in operators
+
+
+def test_repeated_spilled_queries_are_deterministic(spill_db):
+    """The same spilled join, repeatedly, returns identical output (values,
+    order, annotation identity) and identical spill totals each time."""
+    runs = []
+    for _ in range(5):
+        rows = run_shape(spill_db, SPILL_SHAPES["join_ordered"], BUDGET, "hash")
+        runs.append((rows, spill_db.engine.last_spill.spilled_rows))
+    assert all(run == runs[0] for run in runs)
+
+
+def test_every_spilling_operator_records_partition_timings(spill_db):
+    """``engine.last_spill`` carries one ``partition_timings`` entry, with
+    its wall-clock ``seconds``, per processed partition / spilled run."""
+    events = {}
+    for shape in ("join_streamed", "group_by", "distinct", "order_by",
+                  "intersect", "except"):
+        # A tight budget gives the join a wide fan-out beside its resident
+        # (hybrid) partition 0.
+        budget = 10 if shape == "join_streamed" else BUDGET
+        run_shape(spill_db, SPILL_SHAPES[shape], budget, "hash")
+        for event in spill_db.engine.last_spill.operators:
+            events.setdefault(event["operator"], event)
+    join = events["hash_join"]
+    assert join["hybrid"] is True and join["partitions"] >= 4
+    assert join["build_rows"] >= join["resident_build_rows"] > 0
+    for operator in ("hash_join", "group_by", "distinct", "intersect",
+                     "except"):
+        event = events[operator]
+        timings = event["partition_timings"]
+        assert all(set(t) == {"partition", "rows", "seconds"} for t in timings)
+        expected = list(range(event["partitions"]))
+        if event.get("hybrid"):
+            expected = expected[1:]  # partition 0 never left memory
+        assert [t["partition"] for t in timings] == expected
+        assert all(t["seconds"] >= 0 and t["rows"] >= 0 for t in timings)
+    sort = events["sort"]
+    timings = sort["partition_timings"]
+    assert all(set(t) == {"run", "rows", "seconds"} for t in timings)
+    # The last run may stay in memory (hybrid), so it is never timed.
+    assert len(timings) in (sort["runs"], sort["runs"] - 1)
+    assert [t["run"] for t in timings] == list(range(len(timings)))
+    assert sum(t["rows"] for t in timings) == sort["spilled_rows"]
+    assert all(t["seconds"] >= 0 for t in timings)
+
+
+# ---------------------------------------------------------------------------
+# Spill-aware build-side choice (explicit INNER JOIN)
+# ---------------------------------------------------------------------------
+class TestBuildSideSwap:
+    def build_db(self):
+        db = Database()
+        db.execute("CREATE TABLE small (k INTEGER, a TEXT)")
+        db.execute("CREATE TABLE big (k INTEGER, b TEXT)")
+        for i in range(30):
+            db.execute(f"INSERT INTO small VALUES ({i % 20}, 'a{i}')")
+        for i in range(400):
+            db.execute(f"INSERT INTO big VALUES ({i % 20}, 'b{i}')")
+        db.execute("ANALYZE")
+        return db
+
+    QUERY = ("SELECT small.a, big.b FROM small JOIN big "
+             "ON small.k = big.k")
+
+    def test_under_budget_side_becomes_build(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        db.config.memory_budget_rows = 100
+        db.query(self.QUERY)
+        plan = db.engine.last_plan
+        # big (400 rows) exceeds the budget, small (30) fits: the planner
+        # must make small the build (right) side instead of spilling big.
+        assert plan.right.table == "small" and plan.left.table == "big"
+        assert not db.engine.last_spill.operators
+
+    def test_no_swap_without_budget(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        db.query(self.QUERY)
+        assert db.engine.last_plan.right.table == "big"
+
+    def test_left_join_never_swaps(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        db.config.memory_budget_rows = 100
+        db.query("SELECT small.a, big.b FROM small LEFT JOIN big "
+                 "ON small.k = big.k")
+        assert db.engine.last_plan.right.table == "big"
+
+    def test_swapped_join_matches_unswapped_rows(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        baseline = sorted(tuple(r.values) for r in db.query(self.QUERY).rows)
+        db.config.memory_budget_rows = 100
+        swapped = sorted(tuple(r.values) for r in db.query(self.QUERY).rows)
+        assert swapped == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import Database
@@ -204,3 +206,31 @@ class TestExplain:
         summary = stats_db.execute("EXPLAIN SELECT id FROM items WHERE id < 3")
         assert summary.statement == "EXPLAIN"
         assert "pushed" in summary.message
+
+
+def test_statistics_staleness_counters_are_exact_under_contention():
+    """Server worker threads reach the DML hooks concurrently: no update to
+    the staleness counters may be lost."""
+    db = Database()
+    db.execute("CREATE TABLE t (id INTEGER)")
+    db.execute("INSERT INTO t VALUES (1)")
+    db.execute("ANALYZE t")
+    statistics = db.catalog.statistics
+    statistics.auto_refresh = False
+    threads, iterations = 8, 400
+    barrier = threading.Barrier(threads)
+
+    def worker():
+        barrier.wait()
+        for _ in range(iterations):
+            statistics.on_insert("t", 1)
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in pool)
+    total = threads * iterations
+    assert statistics._dml_since_analyze["t"] == total
+    assert statistics._stats["t"].row_count == 1 + total

@@ -1,4 +1,5 @@
-"""Docs sanity checker: every internal markdown link must resolve.
+"""Docs sanity checker: every internal markdown link must resolve, and
+docs/TUNING.md must document exactly the knobs ``EngineConfig`` has.
 
 Usage (CI): ``python tools/check_docs.py``
 
@@ -12,12 +13,18 @@ material and excluded) — for ``[text](target)`` links and verifies that
   dashes, punctuation dropped).
 
 External links (``http(s)://``, ``mailto:``) are skipped — this guards the
-*internal* consistency of the docs tree, not the internet.  Exits non-zero
-listing every broken link.
+*internal* consistency of the docs tree, not the internet.
+
+The knob check compares the ``### `knob``` headings of docs/TUNING.md with
+the fields of ``repro.EngineConfig``: a heading naming no field (a knob
+deleted from the code but not the docs) and a field with no heading (a knob
+added, or half-deleted, without documentation) both fail.  Exits non-zero
+listing every problem.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
 import re
@@ -30,6 +37,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
+_KNOB_HEADING = re.compile(r"^### `(\w+)`", re.MULTILINE)
 
 
 def github_slug(heading: str) -> str:
@@ -78,6 +86,22 @@ def check_file(path: str) -> list:
     return problems
 
 
+def config_fields() -> set:
+    """Field names of ``repro.EngineConfig``, imported from ``src/``."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro import EngineConfig
+    return {field.name for field in dataclasses.fields(EngineConfig)}
+
+
+def check_knobs(tuning_text: str, fields: set) -> list:
+    """Mismatches between TUNING.md's knob headings and the config fields."""
+    documented = set(_KNOB_HEADING.findall(tuning_text))
+    return [f"docs/TUNING.md: heading `{knob}` names no EngineConfig field"
+            for knob in sorted(documented - fields)] + \
+           [f"docs/TUNING.md: EngineConfig.{knob} has no ### `{knob}` section"
+            for knob in sorted(fields - documented)]
+
+
 def main() -> int:
     files = doc_files()
     if not os.path.isdir(os.path.join(REPO_ROOT, "docs")):
@@ -86,10 +110,13 @@ def main() -> int:
     problems = []
     for path in files:
         problems.extend(check_file(path))
+    with open(os.path.join(REPO_ROOT, "docs", "TUNING.md"),
+              encoding="utf-8") as handle:
+        problems.extend(check_knobs(handle.read(), config_fields()))
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown file(s): "
-          f"{len(problems)} broken link(s)")
+          f"{len(problems)} problem(s)")
     return 1 if problems else 0
 
 
