@@ -15,7 +15,7 @@ Responsibilities (paper Sections 3.1–3.4):
 from __future__ import annotations
 
 from datetime import datetime
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.annotations.model import (
     Annotation,
@@ -27,6 +27,7 @@ from repro.annotations.model import (
 from repro.annotations.storage import (
     SCHEME_COMPACT,
     AnnotationLinkageStore,
+    LinkageIndex,
     create_linkage_store,
     linkage_store_class,
 )
@@ -36,6 +37,10 @@ from repro.catalog.schema import Column, TableSchema
 from repro.catalog.table import Table
 from repro.core.errors import AnnotationError
 from repro.types.datatypes import DataType
+
+#: What a propagation probe reads from one annotation table: its linkage
+#: index and the ``{ann_id: Annotation}`` bodies that may propagate.
+ProbeEntry = Tuple[LinkageIndex, Dict[int, Annotation]]
 
 
 def _bodies_schema(name: str) -> TableSchema:
@@ -60,6 +65,10 @@ class AnnotationTable:
         self.linkage = linkage
         self.default_category = category
         self._next_ann_id = 0
+        #: ``(include_archived, categories) -> (stamp, (index, annotations))``;
+        #: see :meth:`probe_index`.
+        self._probes: Dict[Tuple[bool, Optional[FrozenSet[str]]],
+                           Tuple[Tuple[int, int], ProbeEntry]] = {}
 
     @property
     def qualified_name(self) -> str:
@@ -120,8 +129,31 @@ class AnnotationTable:
             result.append(annotation)
         return result
 
-    def cells_of(self, ann_id: int) -> Set[Cell]:
-        return self.linkage.cells_of(ann_id)
+    def probe_index(self, include_archived: bool = False,
+                    categories: Optional[Set[str]] = None) -> ProbeEntry:
+        """The linkage index plus ``{ann_id: Annotation}`` that probes read.
+
+        Built once per data version, not once per statement: each entry is
+        stamped with the bodies and linkage tables' ``data_version`` and
+        reused only while both stamps still match, so every write path —
+        ADD / ARCHIVE / RESTORE, rollback undo, WAL replay — invalidates it
+        without a hook.  A published entry is never mutated (a new version
+        builds a new one), so concurrent readers can share it unlocked.
+        """
+        key = (include_archived,
+               None if categories is None else frozenset(categories))
+        stamp = (self.bodies.data_version, self.linkage.backing.data_version)
+        cached = self._probes.get(key)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        annotations = {
+            annotation.ann_id: annotation
+            for annotation in self.annotations(include_archived)
+            if categories is None or annotation.category in categories
+        }
+        entry = (self.linkage.load_index(), annotations)
+        self._probes[key] = (stamp, entry)
+        return entry
 
     def annotation_count(self, include_archived: bool = True) -> int:
         if include_archived:
@@ -162,26 +194,32 @@ class AnnotationTable:
 class PropagationIndex:
     """Probe structure used by annotated scans.
 
-    Combines, for one user table, the linkage indexes of every requested
-    annotation table plus the annotation records themselves.  ``lookup``
-    returns the live (non-archived unless requested) annotations attached to
-    one cell.
+    Combines, for one user table, the cached :meth:`AnnotationTable.probe_index`
+    entry of every requested annotation table.  ``vector`` returns the live
+    (non-archived unless requested) annotations on every column of one tuple.
     """
 
-    def __init__(self) -> None:
-        self._entries: List[Tuple[object, Dict[int, Annotation]]] = []
+    def __init__(self, entries: Sequence[ProbeEntry]):
+        self._entries = list(entries)
 
-    def add_table(self, linkage_index, annotations: Dict[int, Annotation]) -> None:
-        self._entries.append((linkage_index, annotations))
+    def vector(self, tuple_id: int, arity: int) -> List[Set[Annotation]]:
+        """One fresh annotation set per column of ``tuple_id``.
+
+        Resolves one linkage segment per annotation table; the sets belong
+        to the caller (downstream operators merge into them).
+        """
+        vector: List[Set[Annotation]] = [set() for _ in range(arity)]
+        for linkage_index, annotations in self._entries:
+            for col_start, col_end, ann_id in linkage_index.covering(tuple_id):
+                annotation = annotations.get(ann_id)
+                if annotation is None:
+                    continue
+                for column in range(col_start, min(col_end + 1, arity)):
+                    vector[column].add(annotation)
+        return vector
 
     def lookup(self, tuple_id: int, column: int) -> Set[Annotation]:
-        found: Set[Annotation] = set()
-        for linkage_index, annotations in self._entries:
-            for ann_id in linkage_index.lookup(tuple_id, column):
-                annotation = annotations.get(ann_id)
-                if annotation is not None:
-                    found.add(annotation)
-        return found
+        return self.vector(tuple_id, column + 1)[column]
 
     def is_empty(self) -> bool:
         return not self._entries
@@ -381,14 +419,18 @@ class AnnotationManager:
         changed: List[Annotation] = []
         for spec in annotation_tables:
             table = self.resolve(spec, user_table)
-            for annotation in table.annotations(include_archived=True):
+            index, annotations = table.probe_index(include_archived=True)
+            touched: Set[int] = set()
+            for tuple_id, column in target_cells:
+                touched |= index.lookup(tuple_id, column)
+            for annotation in annotations.values():
                 if annotation.archived == archived:
                     continue
                 if time_from is not None and annotation.created_at < time_from:
                     continue
                 if time_to is not None and annotation.created_at > time_to:
                     continue
-                if target_cells and not (table.cells_of(annotation.ann_id) & target_cells):
+                if target_cells and annotation.ann_id not in touched:
                     continue
                 table.set_archived(annotation.ann_id, archived)
                 changed.append(annotation.with_archived(archived))
@@ -408,16 +450,9 @@ class AnnotationManager:
         A-SQL ``ANNOTATION(S1, S2, ...)`` clause).  ``categories`` optionally
         restricts propagation to annotation categories (e.g. only provenance).
         """
-        index = PropagationIndex()
         if annotation_tables is None:
             tables = self.tables_for(user_table)
         else:
             tables = [self.resolve(spec, user_table) for spec in annotation_tables]
-        for table in tables:
-            annotations = {
-                annotation.ann_id: annotation
-                for annotation in table.annotations(include_archived)
-                if categories is None or annotation.category in categories
-            }
-            index.add_table(table.linkage.load_index(), annotations)
-        return index
+        return PropagationIndex([table.probe_index(include_archived, categories)
+                                 for table in tables])

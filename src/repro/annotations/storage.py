@@ -18,7 +18,8 @@ machinery as user data — that is what benchmark E2 compares.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.annotations.model import Cell, Region, decompose_cells
 from repro.catalog.catalog import SystemCatalog
@@ -63,12 +64,12 @@ class AnnotationLinkageStore:
         """Scan the backing table and build an in-memory lookup index.
 
         The scan is what costs I/O; the returned index is then probed once
-        per (tuple, column) cell during annotation propagation.
+        per tuple during annotation propagation.
         """
         raise NotImplementedError
 
     def cells_of(self, ann_id: int) -> Set[Cell]:
-        """Return every cell covered by ``ann_id`` (used by archive/restore)."""
+        """Return every cell covered by ``ann_id`` (a full scan of the store)."""
         raise NotImplementedError
 
     def annotation_ids(self) -> Set[int]:
@@ -82,11 +83,27 @@ class AnnotationLinkageStore:
         return self.backing.num_pages()
 
 
-class LinkageIndex:
-    """In-memory probe structure built by :meth:`AnnotationLinkageStore.load_index`."""
+#: One linkage entry active on a tuple: ``(col_start, col_end, ann_id)``,
+#: inclusive column bounds.
+Entry = Tuple[int, int, int]
 
-    def lookup(self, tuple_id: int, column: int) -> Set[int]:
+
+class LinkageIndex:
+    """In-memory probe structure built by :meth:`AnnotationLinkageStore.load_index`.
+
+    An index is immutable once built: it may be shared by every statement
+    (and thread) reading the same data version, so probes hand out fresh or
+    frozen results, never internal state.
+    """
+
+    def covering(self, tuple_id: int) -> Sequence[Entry]:
+        """Every linkage entry on ``tuple_id``, as ``(col_start, col_end, ann_id)``."""
         raise NotImplementedError
+
+    def lookup(self, tuple_id: int, column: int) -> FrozenSet[int]:
+        return frozenset(ann_id for col_start, col_end, ann_id
+                         in self.covering(tuple_id)
+                         if col_start <= column <= col_end)
 
     def annotated_tuple_ids(self) -> Set[int]:
         raise NotImplementedError
@@ -96,14 +113,14 @@ class LinkageIndex:
 # Naive per-cell scheme (Figure 3)
 # ---------------------------------------------------------------------------
 class _CellIndex(LinkageIndex):
-    def __init__(self, mapping: Dict[Cell, Set[int]]):
-        self._mapping = mapping
+    def __init__(self, by_tuple: Dict[int, Tuple[Entry, ...]]):
+        self._by_tuple = by_tuple
 
-    def lookup(self, tuple_id: int, column: int) -> Set[int]:
-        return self._mapping.get((tuple_id, column), set())
+    def covering(self, tuple_id: int) -> Sequence[Entry]:
+        return self._by_tuple.get(tuple_id, ())
 
     def annotated_tuple_ids(self) -> Set[int]:
-        return {tuple_id for tuple_id, _ in self._mapping}
+        return set(self._by_tuple)
 
 
 class NaiveCellStore(AnnotationLinkageStore):
@@ -127,10 +144,11 @@ class NaiveCellStore(AnnotationLinkageStore):
         return written
 
     def load_index(self) -> _CellIndex:
-        mapping: Dict[Cell, Set[int]] = {}
+        by_tuple: Dict[int, List[Entry]] = {}
         for _, (ann_id, tuple_id, column) in self.backing.scan():
-            mapping.setdefault((tuple_id, column), set()).add(ann_id)
-        return _CellIndex(mapping)
+            by_tuple.setdefault(tuple_id, []).append((column, column, ann_id))
+        return _CellIndex({tuple_id: tuple(entries)
+                           for tuple_id, entries in by_tuple.items()})
 
     def cells_of(self, ann_id: int) -> Set[Cell]:
         return {
@@ -144,23 +162,41 @@ class NaiveCellStore(AnnotationLinkageStore):
 # Compact rectangle scheme (Figure 5)
 # ---------------------------------------------------------------------------
 class _RegionIndex(LinkageIndex):
-    def __init__(self, regions: List[Tuple[Region, int]]):
-        self._regions = regions
+    """The tuple-id axis cut into elementary segments.
 
-    def lookup(self, tuple_id: int, column: int) -> Set[int]:
-        return {
-            ann_id for region, ann_id in self._regions
-            if region.contains(column, tuple_id)
-        }
+    Every region's ``tid_start`` and ``tid_end + 1`` is a cut; between two
+    consecutive cuts the set of regions covering a tuple is constant, so
+    ``_segments[i]`` holds the entries active on ``[_cuts[i], _cuts[i + 1])``
+    and a probe is one ``bisect``.  The last segment is always empty.
+    """
+
+    def __init__(self, regions: List[Tuple[Region, int]]):
+        opening: Dict[int, List[int]] = {}
+        closing: Dict[int, List[int]] = {}
+        for position, (region, _) in enumerate(regions):
+            opening.setdefault(region.tid_start, []).append(position)
+            closing.setdefault(region.tid_end + 1, []).append(position)
+        self._cuts = sorted(opening.keys() | closing.keys())
+        self._segments: List[Tuple[Entry, ...]] = []
+        active: Dict[int, Entry] = {}
+        for cut in self._cuts:
+            for position in closing.get(cut, ()):
+                del active[position]
+            for position in opening.get(cut, ()):
+                region, ann_id = regions[position]
+                active[position] = (region.col_start, region.col_end, ann_id)
+            self._segments.append(tuple(active.values()))
+
+    def covering(self, tuple_id: int) -> Sequence[Entry]:
+        segment = bisect_right(self._cuts, tuple_id) - 1
+        return self._segments[segment] if segment >= 0 else ()
 
     def annotated_tuple_ids(self) -> Set[int]:
         tuple_ids: Set[int] = set()
-        for region, _ in self._regions:
-            tuple_ids.update(range(region.tid_start, region.tid_end + 1))
+        for start, end, entries in zip(self._cuts, self._cuts[1:], self._segments):
+            if entries:
+                tuple_ids.update(range(start, end))
         return tuple_ids
-
-    def __len__(self) -> int:
-        return len(self._regions)
 
 
 class CompactRegionStore(AnnotationLinkageStore):

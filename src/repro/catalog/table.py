@@ -15,6 +15,7 @@ primary key.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
@@ -23,6 +24,11 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.heap_file import HeapFile
 from repro.storage.page import RecordId
 from repro.types.values import values_equal
+
+#: Process-wide source of ``Table.data_version`` stamps.  One counter for
+#: every table means a table dropped and recreated under the same name can
+#: never repeat a stamp an earlier incarnation handed out.
+_DATA_VERSIONS = itertools.count()
 
 
 class Table:
@@ -55,6 +61,12 @@ class Table:
         #: record (grown row moved to the tail) breaks the invariant; batched
         #: scans then fall back to the directory-ordered path.
         self._page_order_is_tid_order = True
+        #: Changes after every row mutation (insert, update, delete, and
+        #: their raw undo / replay appliers), so a structure derived from the
+        #: rows stays valid exactly while the stamp it recorded still
+        #: matches.  Taken after the mutation lands: a reader that records
+        #: the stamp before deriving never labels stale data as current.
+        self.data_version = next(_DATA_VERSIONS)
 
     # ------------------------------------------------------------------
     @property
@@ -97,6 +109,7 @@ class Table:
         self._directory[tuple_id] = record_id
         if pk is not None:
             self._pk_index[pk] = tuple_id
+        self.data_version = next(_DATA_VERSIONS)
         if self.journal is not None:
             self.journal.note_row_insert(self, tuple_id, row)
         return tuple_id
@@ -127,6 +140,7 @@ class Table:
         pk = self._pk_value(row)
         if pk is not None:
             self._pk_index.pop(pk, None)
+        self.data_version = next(_DATA_VERSIONS)
         if self.journal is not None:
             self.journal.note_row_delete(self, tuple_id, row)
         return row
@@ -143,6 +157,7 @@ class Table:
                 self._pk_index.pop(old_pk, None)
             if new_pk is not None:
                 self._pk_index[new_pk] = tuple_id
+        self.data_version = next(_DATA_VERSIONS)
 
     # ------------------------------------------------------------------
     # Raw appliers (transaction undo and WAL replay)
@@ -158,6 +173,7 @@ class Table:
         pk = self._pk_value(row)
         if pk is not None:
             self._pk_index[pk] = tuple_id
+        self.data_version = next(_DATA_VERSIONS)
 
     def apply_update(self, tuple_id: int, new_row: Sequence[Any]) -> None:
         """Overwrite the stored image of ``tuple_id`` with ``new_row``."""
@@ -173,6 +189,7 @@ class Table:
         pk = self._pk_value(row)
         if pk is not None:
             self._pk_index.pop(pk, None)
+        self.data_version = next(_DATA_VERSIONS)
 
     # ------------------------------------------------------------------
     # Reads

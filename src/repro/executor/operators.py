@@ -156,10 +156,10 @@ class TableRowSource:
                 or bool(self.status_annotations))
 
     def annotation_vector(self, tuple_id: int, arity: int) -> List[Set[Any]]:
-        annotations: List[Set[Any]] = [set() for _ in range(arity)]
-        if self.propagation_index is not None and not self.propagation_index.is_empty():
-            for position in range(arity):
-                annotations[position] |= self.propagation_index.lookup(tuple_id, position)
+        if self.propagation_index is not None:
+            annotations = self.propagation_index.vector(tuple_id, arity)
+        else:
+            annotations = [set() for _ in range(arity)]
         if self.status_annotations:
             for position in range(arity):
                 status = self.status_annotations.get((tuple_id, position))

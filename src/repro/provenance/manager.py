@@ -151,11 +151,13 @@ class ProvenanceManager:
         table = self.annotations.get(user_table, PROVENANCE_TABLE_NAME)
         schema = self.annotations.catalog.table(user_table).schema
         position = schema.column_position(column)
-        records = []
-        for annotation in table.annotations(include_archived=include_archived):
-            cells = table.cells_of(annotation.ann_id)
-            if (tuple_id, position) in cells:
-                records.append(ProvenanceRecord.from_annotation(annotation))
+        index, annotations = table.probe_index(include_archived,
+                                               {CATEGORY_PROVENANCE})
+        # ann_id order is the bodies' insertion order, which the stable sort
+        # below keeps for records with equal times.
+        records = [ProvenanceRecord.from_annotation(annotations[ann_id])
+                   for ann_id in sorted(index.lookup(tuple_id, position))
+                   if ann_id in annotations]
         records.sort(key=lambda record: record.time)
         return records
 

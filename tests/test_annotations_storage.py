@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.annotations.model import cells_for_columns, cells_for_tuples
+from repro.annotations.manager import PropagationIndex
+from repro.annotations.model import (
+    Annotation,
+    Region,
+    cells_for_columns,
+    cells_for_tuples,
+)
 from repro.annotations.storage import (
     SCHEME_COMPACT,
     SCHEME_NAIVE,
     CompactRegionStore,
     NaiveCellStore,
+    _RegionIndex,
     create_linkage_store,
 )
 from repro.catalog.catalog import SystemCatalog
@@ -110,3 +118,102 @@ class TestCompactRegionStore:
         index = store.load_index()
         for tuple_id, column in cells:
             assert 1 in index.lookup(tuple_id, column)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_NAIVE, SCHEME_COMPACT])
+def test_mutating_a_probe_result_leaves_the_index_intact(catalog, scheme):
+    # Indexes are shared across statements, so a caller merging into what a
+    # probe returned must never reach the index's own state.
+    store = make_store(catalog, scheme)
+    store.attach(1, {(0, 0), (0, 1)})
+    store.attach(2, {(0, 1), (3, 2)})
+    index = store.load_index()
+    result = index.lookup(0, 1)
+    result |= {99}
+    assert index.lookup(0, 1) == {1, 2}
+    propagation = PropagationIndex([(index, {1: Annotation(1, "T.A", "one"),
+                                             2: Annotation(2, "T.A", "two")})])
+    vector = propagation.vector(0, 3)
+    vector[1].add(Annotation(99, "T.A", "stray"))
+    vector[2].add(Annotation(98, "T.A", "stray"))
+    assert [{a.ann_id for a in cell} for cell in propagation.vector(0, 3)] \
+        == [{1}, {1, 2}, set()]
+
+
+# ---------------------------------------------------------------------------
+# Segment index vs brute force (bounded-example profile)
+# ---------------------------------------------------------------------------
+ARITY = 5
+
+regions_strategy = st.lists(
+    st.tuples(st.integers(0, ARITY - 1), st.integers(0, ARITY - 1),
+              st.integers(0, 30), st.integers(0, 6), st.integers(0, 7)),
+    max_size=25,
+).map(lambda specs: [
+    (Region(min(c1, c2), max(c1, c2), tid, tid + length), ann_id)
+    for c1, c2, tid, length, ann_id in specs])
+
+
+def probe_tuple_ids(regions):
+    """Every segment bound, one either side of it, and both far ends."""
+    bounds = {-1, 0, 40}
+    for region, _ in regions:
+        for bound in (region.tid_start, region.tid_end):
+            bounds.update((bound - 1, bound, bound + 1))
+    return sorted(bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions_strategy)
+def test_segment_index_matches_brute_force(regions):
+    # Nested, overlapping, adjacent, single-tid and gapped rectangles, with
+    # repeated annotation ids (one annotation, several regions).
+    index = _RegionIndex(regions)
+    annotations = {ann_id: Annotation(ann_id, "T.A", f"a{ann_id}")
+                   for _, ann_id in regions if ann_id % 3}  # some filtered out
+    propagation = PropagationIndex([(index, annotations)])
+    for tuple_id in probe_tuple_ids(regions):
+        expected = [{ann_id for region, ann_id in regions
+                     if region.contains(column, tuple_id)}
+                    for column in range(ARITY)]
+        assert [index.lookup(tuple_id, column) for column in range(ARITY)] \
+            == expected
+        assert [{a.ann_id for a in cell}
+                for cell in propagation.vector(tuple_id, ARITY)] \
+            == [ids & annotations.keys() for ids in expected]
+        # A narrower vector is the prefix of the full one.
+        assert propagation.vector(tuple_id, 2) \
+            == propagation.vector(tuple_id, ARITY)[:2]
+    covered = {tuple_id for region, _ in regions
+               for tuple_id in range(region.tid_start, region.tid_end + 1)}
+    assert index.annotated_tuple_ids() == covered
+
+
+cell_sets = st.lists(
+    st.sets(st.tuples(st.integers(0, 25), st.integers(0, ARITY - 1)),
+            min_size=1, max_size=30),
+    max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_sets)
+def test_compact_store_matches_naive_store(annotation_cells):
+    catalog = SystemCatalog()
+    compact = make_store(catalog, SCHEME_COMPACT, "c")
+    naive = make_store(catalog, SCHEME_NAIVE, "n")
+    for ann_id, cells in enumerate(annotation_cells):
+        compact.attach(ann_id, cells)
+        naive.attach(ann_id, cells)
+    compact_index, naive_index = compact.load_index(), naive.load_index()
+    annotations = {ann_id: Annotation(ann_id, "T.A", str(ann_id))
+                   for ann_id in range(len(annotation_cells))}
+    compact_vectors = PropagationIndex([(compact_index, annotations)])
+    naive_vectors = PropagationIndex([(naive_index, annotations)])
+    for tuple_id in range(-1, 28):
+        for column in range(ARITY + 1):
+            assert compact_index.lookup(tuple_id, column) \
+                == naive_index.lookup(tuple_id, column)
+        assert compact_vectors.vector(tuple_id, ARITY) \
+            == naive_vectors.vector(tuple_id, ARITY)
+    assert compact_index.annotated_tuple_ids() \
+        == naive_index.annotated_tuple_ids()
