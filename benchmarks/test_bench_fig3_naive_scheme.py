@@ -55,7 +55,7 @@ def run_manual(db):
         for table_name in ("DB1_Gene", "DB2_Gene"):
             table = db.table(table_name)
             index = db.annotations.propagation_index(table_name, ["GAnnotation"])
-            for tuple_id in table.find_tuples("GID", gid):
+            for tuple_id in db.indexes.find_tuples(table_name, "GID", gid):
                 for position in range(len(table.schema)):
                     annotations |= index.lookup(tuple_id, position)
         results.append((row, annotations))

@@ -26,6 +26,7 @@ from repro.authorization.grants import AccessControl
 from repro.catalog.catalog import SystemCatalog
 from repro.core.errors import ApprovalError, AuthorizationError
 from repro.dependencies.tracker import DependencyTracker, UpdateImpact
+from repro.index.manager import IndexManager
 
 
 class OperationType(enum.Enum):
@@ -105,10 +106,13 @@ class ApprovalManager:
     """Maintains approval configurations and the update log."""
 
     def __init__(self, catalog: SystemCatalog, access: AccessControl,
-                 tracker: Optional[DependencyTracker] = None):
+                 tracker: Optional[DependencyTracker] = None,
+                 indexes: Optional[IndexManager] = None):
         self.catalog = catalog
         self.access = access
         self.tracker = tracker
+        #: Kept current by the inverse statements a disapproval executes.
+        self.indexes = indexes if indexes is not None else IndexManager(catalog)
         self._configs: Dict[str, ApprovalConfig] = {}
         self._log: List[LoggedOperation] = []
         self._next_op_id = 1
@@ -256,20 +260,29 @@ class ApprovalManager:
     def _execute_inverse(self, operation: LoggedOperation) -> UpdateImpact:
         inverse = operation.inverse
         table = self.catalog.table(inverse.table)
+        names = table.schema.column_names
         impact = UpdateImpact()
         if inverse.op_type is OperationType.DELETE:
             # Undo an INSERT: remove the inserted tuple if it still exists.
             if table.has_tuple(inverse.tuple_id):
-                table.delete_row(inverse.tuple_id)
+                row = table.delete_row(inverse.tuple_id)
+                self.indexes.on_delete(table.name, inverse.tuple_id,
+                                       dict(zip(names, row)))
                 if self.tracker is not None:
                     impact = self.tracker.handle_delete(table.name, inverse.tuple_id)
         elif inverse.op_type is OperationType.INSERT:
             # Undo a DELETE: restore the old row (a new tuple id is assigned).
-            table.insert_row(inverse.values)
+            tuple_id = table.insert_row(inverse.values)
+            self.indexes.on_insert(table.name, tuple_id,
+                                   dict(zip(names, table.read_row(tuple_id))))
         else:
             # Undo an UPDATE: restore the old values.
             if table.has_tuple(inverse.tuple_id):
-                table.update_row(inverse.tuple_id, inverse.values)
+                old_row = table.read_row(inverse.tuple_id)
+                new_row = table.update_row(inverse.tuple_id, inverse.values)
+                self.indexes.on_update(table.name, inverse.tuple_id,
+                                       dict(zip(names, old_row)),
+                                       dict(zip(names, new_row)))
                 if self.tracker is not None:
                     impact = self.tracker.handle_update(
                         table.name, inverse.tuple_id, list(inverse.values)

@@ -23,7 +23,6 @@ from repro.core.errors import CatalogError, ConstraintViolationError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.heap_file import HeapFile
 from repro.storage.page import RecordId
-from repro.types.values import values_equal
 
 #: Process-wide source of ``Table.data_version`` stamps.  One counter for
 #: every table means a table dropped and recreated under the same name can
@@ -265,15 +264,6 @@ class Table:
         if not self.schema.primary_key_columns:
             return None
         return self._pk_index.get(tuple(key))
-
-    def find_tuples(self, column: str, value: Any) -> List[int]:
-        """Return tuple ids whose ``column`` equals ``value`` (sequential scan)."""
-        position = self.schema.column_position(column)
-        matches = []
-        for tuple_id, row in self.scan():
-            if values_equal(row[position], value):
-                matches.append(tuple_id)
-        return matches
 
     def rows_as_dicts(self) -> List[Dict[str, Any]]:
         names = self.schema.column_names

@@ -91,10 +91,15 @@ class Database:
         self.catalog = SystemCatalog(self.disk, pool_size)
         self.access = AccessControl()
         self.annotations = AnnotationManager(self.catalog)
-        self.tracker = DependencyTracker(self.catalog)
-        self.provenance = ProvenanceManager(self.annotations, self.access)
-        self.approval = ApprovalManager(self.catalog, self.access, self.tracker)
         self.indexes = IndexManager(self.catalog)
+        # Rule targets are probed through the indexes under the engine's
+        # live ``use_indexes`` switch (read per probe: the config is mutable).
+        self.tracker = DependencyTracker(
+            self.catalog, self.indexes,
+            use_indexes=lambda: self.engine.config.use_indexes)
+        self.provenance = ProvenanceManager(self.annotations, self.access)
+        self.approval = ApprovalManager(self.catalog, self.access, self.tracker,
+                                        self.indexes)
         self.foreign = ForeignTableManager(self.catalog)
         self.config = config or EngineConfig()
         if batch_size is not None:

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.annotations.model import Annotation, CATEGORY_STATUS
 from repro.catalog.catalog import SystemCatalog
+from repro.catalog.table import Table
 from repro.core.errors import DependencyError
 from repro.dependencies.bitmap import OutdatedBitmap
 from repro.dependencies.graph import CellKey, DependencyGraph, cell_key
 from repro.dependencies.rules import DependencyRule, Procedure, RuleSet
+from repro.index.manager import IndexManager
 
 #: Annotation-table pseudo-name used for system-generated outdated markers.
 OUTDATED_ANNOTATION_TABLE = "__outdated__"
@@ -43,10 +45,20 @@ class UpdateImpact:
 
 
 class DependencyTracker:
-    """Schema rules + instance graph + outdated bitmaps for every table."""
+    """Schema rules + instance graph + outdated bitmaps for every table.
 
-    def __init__(self, catalog: SystemCatalog):
+    ``indexes`` resolves a cross-table rule's target tuples by equality
+    probe on ``target_key`` (and is kept current when a rule re-computes a
+    cell); ``use_indexes`` is consulted per probe, so the engine's
+    ``use_indexes`` switch governs dependency targets as it does queries.
+    """
+
+    def __init__(self, catalog: SystemCatalog,
+                 indexes: Optional[IndexManager] = None,
+                 use_indexes: Callable[[], bool] = lambda: True):
         self.catalog = catalog
+        self.indexes = indexes if indexes is not None else IndexManager(catalog)
+        self.use_indexes = use_indexes
         self.rules = RuleSet()
         self.graph = DependencyGraph()
         self._bitmaps: Dict[str, OutdatedBitmap] = {}
@@ -184,7 +196,7 @@ class DependencyTracker:
             if rule.procedure.name != procedure_name:
                 continue
             source_table = next(iter(rule.source_tables))
-            for source_tuple_id, _ in self.catalog.table(source_table).scan():
+            for source_tuple_id in self.catalog.table(source_table).tuple_ids:
                 for target_table, target_column in rule.targets:
                     for target_tuple_id in self._target_tuples(rule, source_table,
                                                                source_tuple_id,
@@ -205,7 +217,8 @@ class DependencyTracker:
                    new_value: Any = None) -> None:
         """A user verified an outdated item (optionally supplying a new value)."""
         if new_value is not None:
-            self.catalog.table(table).update_row(tuple_id, {column: new_value})
+            self._update_cell(self.catalog.table(table), tuple_id, column,
+                              new_value)
         self.bitmap_for(table).clear(tuple_id, column)
 
     # ------------------------------------------------------------------
@@ -251,7 +264,8 @@ class DependencyTracker:
         target_row = dict(zip(target.schema.column_names,
                               target.read_row(target_tuple_id)))
         new_value = rule.procedure.implementation(source_row, target_row)
-        target.update_row(target_tuple_id, {target_column: new_value})
+        self._update_cell(target, target_tuple_id, target_column, new_value,
+                          old_row=target_row)
         cell = cell_key(target_table, target_tuple_id, target_column)
         visited.add(cell)
         self.bitmap_for(target_table).clear(target_tuple_id, target_column)
@@ -282,7 +296,19 @@ class DependencyTracker:
         if rule.source_key is None or rule.target_key is None:
             return []
         key_value = source.read_cell(source_tuple_id, rule.source_key)
-        return self.catalog.table(target_table).find_tuples(rule.target_key, key_value)
+        return self.indexes.find_tuples(target_table, rule.target_key,
+                                        key_value,
+                                        use_index=self.use_indexes())
+
+    def _update_cell(self, table: Table, tuple_id: int, column: str, value: Any,
+                     old_row: Optional[Dict[str, Any]] = None) -> None:
+        """Write one cell and keep the table's secondary indexes current."""
+        names = table.schema.column_names
+        if old_row is None:
+            old_row = dict(zip(names, table.read_row(tuple_id)))
+        new_row = table.update_row(tuple_id, {column: value})
+        self.indexes.on_update(table.name, tuple_id, old_row,
+                               dict(zip(names, new_row)))
 
     # ------------------------------------------------------------------
     # Status annotations (Section 5, "Reporting and annotating outdated data")

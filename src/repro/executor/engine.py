@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.annotations.manager import AnnotationManager
@@ -59,7 +60,11 @@ from repro.providers.manager import ForeignTableManager
 from repro.storage.buffer_pool import DecodedCacheView
 from repro.storage.spill import SpillManager, SpillStats
 from repro.catalog.statistics import DEFAULT_SELECTIVITY
-from repro.planner.expressions import Evaluator, contains_aggregate
+from repro.planner.expressions import (
+    Evaluator,
+    contains_aggregate,
+    predicate_is_true,
+)
 from repro.planner.planner import (
     combine_conjuncts,
     push_down_conjuncts,
@@ -75,7 +80,12 @@ from repro.sql.parameters import (
     validate_parameters,
 )
 from repro.sql.parser import parse_prepared
-from repro.types.datatypes import DataType, parse_timestamp
+from repro.types.datatypes import (
+    TYPE_CATEGORIES,
+    DataType,
+    parse_timestamp,
+    value_category,
+)
 
 
 #: Valid values of ``EngineConfig.execution_mode``: "streaming" is the
@@ -846,27 +856,10 @@ class Engine:
         """Execute one scan leaf along its planned access path."""
         if isinstance(node, planlib.ForeignScanPlan):
             return self._foreign_scan(ref, node, scan_cap)
-        source = self._row_source(ref)
-        batched = self.config.execution_mode == "streaming"
-        if node.access_path == "index_lookup" and node.index_name is not None \
-                and self._index_key_safe(node):
-            index = self.indexes.get(node.index_name)
-            relation = ops.index_scan(source, index.structure, node.index_key)
-        elif node.access_path == "index_range" and node.index_name is not None:
-            index = self.indexes.get(node.index_name)
-            order_position = None
-            if node.ordered and node.index_columns:
-                order_position = source.schema.try_resolve(node.index_columns[0])
-            relation = ops.index_range_scan(
-                source, index.structure, node.range_low, node.range_high,
-                node.range_include_low, node.range_include_high,
-                batch_size=self.config.batch_size if batched else None,
-                order_position=order_position,
-                descending=node.descending)
-        elif batched:
-            relation = source.batched_relation(self.config.batch_size, scan_cap)
-        else:
-            relation = source.relation()
+        relation = self._leaf_relation(
+            self._row_source(ref), node,
+            batched=self.config.execution_mode == "streaming",
+            scan_cap=scan_cap)
         # The full pushed-conjunct list is applied even on an index access
         # path: the index only pins the key columns (and a range scan may be
         # wider than the predicate), everything else filters on top.
@@ -874,6 +867,30 @@ class Engine:
         if pushdown is not None:
             relation = ops.filter_rows(relation, pushdown)
         return self._stage(relation)
+
+    def _leaf_relation(self, source: ops.TableRowSource,
+                       node: planlib.ScanPlan, batched: bool,
+                       scan_cap: Optional[int] = None) -> ops.Relation:
+        """Rows of one base-table scan leaf along its planned access path,
+        before any filter: SELECT scans and DML target selection share it."""
+        if node.access_path == "index_lookup" and node.index_name is not None \
+                and self._index_key_safe(node):
+            index = self.indexes.get(node.index_name)
+            return ops.index_scan(source, index.structure, node.index_key)
+        if node.access_path == "index_range" and node.index_name is not None:
+            index = self.indexes.get(node.index_name)
+            order_position = None
+            if node.ordered and node.index_columns:
+                order_position = source.schema.try_resolve(node.index_columns[0])
+            return ops.index_range_scan(
+                source, index.structure, node.range_low, node.range_high,
+                node.range_include_low, node.range_include_high,
+                batch_size=self.config.batch_size if batched else None,
+                order_position=order_position,
+                descending=node.descending)
+        if batched:
+            return source.batched_relation(self.config.batch_size, scan_cap)
+        return source.relation()
 
     def _foreign_scan(self, ref: ast.TableRef, node: planlib.ForeignScanPlan,
                       scan_cap: Optional[int] = None) -> ops.Relation:
@@ -962,7 +979,7 @@ class Engine:
                 return False
             if isinstance(value, float) and value != value:
                 return False
-            category = planlib._literal_category(value)
+            category = value_category(value)
             if category is None:
                 return False
             expected = self._column_category(node.table, column)
@@ -982,17 +999,11 @@ class Engine:
             dtype = schema.column(column).dtype
         except Exception:
             return None
-        return self._TYPE_CATEGORIES.get(dtype)
+        return TYPE_CATEGORIES.get(dtype)
 
     # ------------------------------------------------------------------
     # Join planning and plan execution
     # ------------------------------------------------------------------
-    _TYPE_CATEGORIES = {
-        DataType.INTEGER: "num", DataType.FLOAT: "num", DataType.BOOLEAN: "num",
-        DataType.TEXT: "text", DataType.SEQUENCE: "text", DataType.XML: "text",
-        DataType.TIMESTAMP: "time",
-    }
-
     def _resolvable_columns(self, table_refs: Sequence[ast.TableRef],
                             ) -> Dict[str, Set[str]]:
         """Lower-cased column names per qualifier, base or foreign."""
@@ -1243,9 +1254,12 @@ class Engine:
                               *("  " + line for line in left_text.splitlines()),
                               *("  " + line for line in right_text.splitlines())])
             return {"node": label, "left": left_dict, "right": right_dict}, text
+        if isinstance(node, (ast.Update, ast.Delete)):
+            return self._explain_dml(node, user)
         if not isinstance(node, ast.Select):
             raise PlanningError(
-                f"EXPLAIN requires a query, got {type(node).__name__}")
+                f"EXPLAIN requires a query, UPDATE or DELETE, "
+                f"got {type(node).__name__}")
         if not node.from_tables:
             return {"node": "Result"}, "Result (constant SELECT)"
         table_refs = list(node.from_tables) + [join.table for join in node.joins]
@@ -1292,6 +1306,23 @@ class Engine:
                 text += f"\nSort [external: {runs} runs]"
                 plan_dict["sort"] = "external"
         return plan_dict, text
+
+    def _explain_dml(self, statement: Union[ast.Update, ast.Delete],
+                     user: str) -> Tuple[Dict[str, Any], str]:
+        """``Update <table>`` / ``Delete <table>`` over the scan leaf that
+        selects the statement's target rows — the very plan it executes."""
+        verb = "UPDATE" if isinstance(statement, ast.Update) else "DELETE"
+        self._reject_foreign_dml(statement.table, verb)
+        self._check(user, verb, statement.table)
+        table = self.catalog.table(statement.table)
+        plan, remaining = self._plan_dml_target(ast.TableRef(statement.table),
+                                                statement.where)
+        label = verb.capitalize()
+        text = f"{label} {table.name}\n{planlib.format_plan(plan, 1)}"
+        if remaining:
+            text += f"\nResidual filter: {len(remaining)} conjunct(s)"
+        return {"node": label, "table": table.name,
+                "input": planlib.plan_to_dict(plan)}, text
 
     def _estimated_group_rows(self, select: ast.Select,
                               plan: planlib.PlanNode,
@@ -1418,6 +1449,7 @@ class Engine:
         self._reject_foreign_dml(statement.table, "INSERT")
         self._check(user, "INSERT", statement.table)
         table = self.catalog.table(statement.table)
+        names = table.schema.column_names
         evaluator = self._literal_evaluator()
         empty = Row(())
         inserted: List[int] = []
@@ -1431,14 +1463,12 @@ class Engine:
                     )
                 row_dict = dict(zip(statement.columns, values))
                 tuple_id = table.insert_row(row_dict)
+                stored = dict(zip(names, table.read_row(tuple_id)))
             else:
                 tuple_id = table.insert_positional(values)
-                row_dict = dict(zip(table.schema.column_names,
-                                    table.read_row(tuple_id)))
+                row_dict = stored = dict(zip(names, table.read_row(tuple_id)))
             inserted.append(tuple_id)
-            self.indexes.on_insert(table.name, tuple_id,
-                                   dict(zip(table.schema.column_names,
-                                            table.read_row(tuple_id))))
+            self.indexes.on_insert(table.name, tuple_id, stored)
             operation = self.approval.log_insert(user, table.name, tuple_id, row_dict)
             if operation is not None:
                 logged.append(operation.op_id)
@@ -1452,35 +1482,70 @@ class Engine:
             details={"tuple_ids": inserted, "logged_operations": logged},
         )
 
-    def _matching_tuples(self, table_name: str,
+    def _plan_dml_target(self, ref: ast.TableRef,
                          where: Optional[ast.Expression],
-                         qualifier: Optional[str] = None) -> List[Tuple[int, Row]]:
-        """Return (tuple_id, row) pairs of a table matching ``where``."""
-        table = self.catalog.table(table_name)
-        schema, rows = ops.scan_table(table, qualifier or table.name,
-                                      include_tuple_id=True)
-        if where is not None:
-            schema, rows = ops.filter_rows((schema, rows), where)
-        return [(row.values[0], row) for row in rows]
+                         ) -> Tuple[planlib.ScanPlan, List[ast.Expression]]:
+        """The scan leaf (and unpushed conjuncts) selecting a DML target.
+
+        Plans ``SELECT * FROM ref WHERE where`` with the SELECT planner, so
+        DML gets exactly the access path a query would.  The plan is not
+        cached: a DML statement is bound before it executes, so its keys are
+        literals that differ per execution, and a one-leaf plan is cheap.
+        """
+        select = ast.Select([ast.SelectItem(ast.Star())], [ref], where=where)
+        plan, _pushed, remaining, _order = self._plan_select(select, [ref])
+        return plan, remaining
+
+    def _matching_tuples(self, ref: ast.TableRef,
+                         where: Optional[ast.Expression],
+                         ) -> Tuple[OutputSchema, List[Tuple[int, Row]]]:
+        """The ``(tuple_id, row)`` pairs of ``ref``'s table matching ``where``.
+
+        Rows come from the planned scan leaf (index lookup, index range, or
+        a page-at-a-time sequential scan) with the full WHERE re-applied on
+        top.  They are materialised and sorted by tuple id before the caller
+        mutates anything: the statement's effects then run in the same order
+        whatever the access path, and a SET that moves an indexed key cannot
+        revisit a row (the Halloween problem).  Rows lead with the
+        ``__tid__`` pseudo-column and carry no annotations; the returned
+        schema describes them.
+        """
+        source = ops.TableRowSource(self.catalog.table(ref.name),
+                                    ref.effective_name, include_tuple_id=True)
+        keep = (Evaluator(source.schema).compile(where)
+                if where is not None else None)
+        plan, _ = self._plan_dml_target(ref, where)
+        _, rows = ops.materialize(self._leaf_relation(source, plan,
+                                                      batched=True))
+        matches = [(row.values[0], row) for row in rows
+                   if keep is None or predicate_is_true(keep(row))]
+        matches.sort(key=itemgetter(0))
+        return source.schema, matches
 
     def _update(self, statement: ast.Update, user: str) -> ExecutionSummary:
         self._reject_foreign_dml(statement.table, "UPDATE")
         self._check(user, "UPDATE", statement.table)
         table = self.catalog.table(statement.table)
-        matches = self._matching_tuples(statement.table, statement.where)
-        schema, _ = ops.scan_table(table, table.name, include_tuple_id=True)
+        names = table.schema.column_names
+        schema, matches = self._matching_tuples(ast.TableRef(statement.table),
+                                                statement.where)
         evaluator = Evaluator(schema)
         compiled = [(column, evaluator.compile(expr))
                     for column, expr in statement.assignments]
         impact = UpdateImpact()
         logged: List[int] = []
+        # A matched row's image is current until a dependency cascade writes
+        # this table (a rule chain can lead back to a later target); from
+        # then on the old image is re-read.
+        cascaded = False
         for tuple_id, row in matches:
-            old_row = dict(zip(table.schema.column_names, table.read_row(tuple_id)))
+            old_row = dict(zip(names, table.read_row(tuple_id) if cascaded
+                               else row.values[1:]))
             changes = {column: evaluate(row) for column, evaluate in compiled}
-            table.update_row(tuple_id, changes)
+            new_values = table.update_row(tuple_id, changes)
+            written = table.data_version
             self.indexes.on_update(table.name, tuple_id, old_row,
-                                   dict(zip(table.schema.column_names,
-                                            table.read_row(tuple_id))))
+                                   dict(zip(names, new_values)))
             old_subset = {column: old_row[table.schema.column(column).name]
                           if table.schema.column(column).name in old_row
                           else old_row.get(column)
@@ -1491,6 +1556,7 @@ class Engine:
                 logged.append(operation.op_id)
             impact.merge(self.tracker.handle_update(table.name, tuple_id,
                                                     list(changes)))
+            cascaded = cascaded or table.data_version != written
         self.catalog.statistics.on_update(table.name, len(matches))
         return ExecutionSummary(
             "UPDATE", rows_affected=len(matches),
@@ -1507,14 +1573,17 @@ class Engine:
         self._reject_foreign_dml(statement.table, "DELETE")
         self._check(user, "DELETE", statement.table)
         table = self.catalog.table(statement.table)
-        matches = self._matching_tuples(statement.table, statement.where)
+        _, matches = self._matching_tuples(ast.TableRef(statement.table),
+                                           statement.where)
         impact = UpdateImpact()
         logged: List[int] = []
         deleted_rows: List[Dict[str, Any]] = []
         for tuple_id, _ in matches:
-            old_row = dict(zip(table.schema.column_names, table.read_row(tuple_id)))
+            # Deletion cascades only mark cells outdated, so the row read by
+            # delete_row is the one the statement matched.
             impact.merge(self.tracker.handle_delete(table.name, tuple_id))
-            table.delete_row(tuple_id)
+            old_row = dict(zip(table.schema.column_names,
+                               table.delete_row(tuple_id)))
             self.indexes.on_delete(table.name, tuple_id, old_row)
             deleted_rows.append(old_row)
             operation = self.approval.log_delete(user, table.name, tuple_id, old_row)
@@ -1590,7 +1659,7 @@ class Engine:
                 raise AnnotationError(
                     "annotation targets must project plain columns or *"
                 )
-        matches = self._matching_tuples(ref.name, select.where, ref.effective_name)
+        _, matches = self._matching_tuples(ref, select.where)
         cells = {(tuple_id, position) for tuple_id, _ in matches for position in positions}
         return table.name, cells
 

@@ -181,20 +181,27 @@ class TableRowSource:
         been emitted.
         """
         annotated = self.attaches_annotations()
+        with_tid = self.include_tuple_id
         arity = len(self._names)
-        if self.include_tuple_id:
-            raise PlanningError("batched scans do not expose __tid__")
         target = 1
         produced = 0
 
         def emit(rows: List[Any]) -> RowBatch:
+            if with_tid:
+                values = [(tuple_id,) + row for tuple_id, row in rows]
+                if not annotated:
+                    return RowBatch(values)
+                return RowBatch(values,
+                                [[set()] + self.annotation_vector(tuple_id, arity)
+                                 for tuple_id, _ in rows])
             if annotated:
                 return RowBatch([values for _, values in rows],
                                 [self.annotation_vector(tuple_id, arity)
                                  for tuple_id, _ in rows])
             return RowBatch(rows)
 
-        for page_rows in self.table.scan_batches(with_tuple_ids=annotated):
+        for page_rows in self.table.scan_batches(
+                with_tuple_ids=annotated or with_tid):
             if max_rows is not None:
                 budget = max_rows - produced
                 if budget <= 0:
@@ -221,16 +228,6 @@ class TableRowSource:
     def batched_relation(self, batch_size: int,
                          max_rows: Optional[int] = None) -> Relation:
         return self.schema, BatchedRows(self.iter_batches(batch_size, max_rows))
-
-
-def scan_table(table: Table, qualifier: str,
-               propagation_index=None,
-               status_annotations: Optional[Dict[Tuple[int, int], Any]] = None,
-               include_tuple_id: bool = False) -> Relation:
-    """Streaming scan of a stored table, attaching annotations per cell."""
-    source = TableRowSource(table, qualifier, propagation_index,
-                            status_annotations, include_tuple_id)
-    return source.relation()
 
 
 def index_scan(source: TableRowSource, index: Any, key: Any) -> Relation:

@@ -3,7 +3,9 @@
 Indexes map a column value (or tuple of column values) to tuple ids of the
 indexed table.  The engine keeps them synchronised on INSERT/UPDATE/DELETE;
 applications and benchmarks use :meth:`IndexManager.lookup` for point queries
-and :meth:`IndexManager.get` for direct access to the underlying structure.
+and :meth:`IndexManager.get` for direct access to the underlying structure;
+the dependency tracker finds a rule's target tuples through
+:meth:`IndexManager.find_tuples`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import SystemCatalog
+from repro.catalog.table import Table
 from repro.core.errors import IndexError_
 from repro.index.btree import BPlusTree
 from repro.index.hash_index import HashIndex
+from repro.types.datatypes import TYPE_CATEGORIES, value_category
+from repro.types.values import values_equal
 
 #: Index methods accepted by CREATE INDEX ... USING <method>.
 SUPPORTED_METHODS = ("btree", "hash")
@@ -170,3 +175,46 @@ class IndexManager:
     def lookup(self, index_name: str, key: Any) -> List[int]:
         """Tuple ids whose indexed key equals ``key``."""
         return list(self.get(index_name).structure.search(key))
+
+    def find_tuples(self, table: str, column: str, value: Any,
+                    use_index: bool = True) -> List[int]:
+        """Tuple ids of ``table`` whose ``column`` equals ``value``, ascending.
+
+        Probes a single-column index on ``column`` (B-tree preferred) and
+        re-checks every hit with ``values_equal``.  Falls back to a
+        page-at-a-time scan when ``use_index`` is off, when no such index
+        exists, and for keys the structure cannot answer: NaN (NaN rows are
+        left out of the structure, yet ``values_equal`` matches NaN to NaN)
+        and a value of another type category than the column's (``'5'``
+        equals ``5`` by string form).  A NULL key matches nothing.
+        """
+        catalog_table = self.catalog.table(table)
+        position = catalog_table.schema.column_position(column)
+        if value is None:
+            return []
+        index = (self._equality_index(catalog_table, column, value)
+                 if use_index else None)
+        if index is None:
+            return [tuple_id
+                    for page in catalog_table.scan_batches(with_tuple_ids=True)
+                    for tuple_id, row in page
+                    if values_equal(row[position], value)]
+        return sorted(
+            tuple_id for tuple_id in index.structure.search(value)
+            if catalog_table.has_tuple(tuple_id)
+            and values_equal(catalog_table.read_row(tuple_id)[position], value))
+
+    def _equality_index(self, table: Table, column: str,
+                        value: Any) -> Optional[SecondaryIndex]:
+        """The single-column index able to answer ``column = value``."""
+        category = value_category(value)
+        if category is None or (isinstance(value, float) and value != value):
+            return None
+        if category != TYPE_CATEGORIES.get(table.schema.column(column).dtype):
+            return None
+        candidates = [index for index in self.indexes_for(table.name)
+                      if len(index.columns) == 1
+                      and index.columns[0].lower() == column.lower()]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda index: index.method != "btree")

@@ -44,6 +44,7 @@ from repro.planner.planner import (
     split_conjuncts,
 )
 from repro.sql import ast
+from repro.types.datatypes import value_category
 from repro.types.values import compare_values
 
 #: Valid values of ``EngineConfig.join_strategy``.
@@ -248,14 +249,6 @@ def _as_edge(conjunct: ast.Expression, resolvable: Dict[str, Set[str]],
 _LOOKUP_MISSING = object()
 
 
-def _literal_category(value: Any) -> Optional[str]:
-    if isinstance(value, bool) or isinstance(value, (int, float)):
-        return "num"
-    if isinstance(value, str):
-        return "text"
-    return None
-
-
 def _index_preference(index: Any) -> Tuple[int, int, str]:
     return (_METHOD_PREFERENCE.get(getattr(index, "method", ""), 9),
             len(index.columns), index.name)
@@ -295,7 +288,7 @@ def choose_index_lookup(table: str, qualifier: str,
                     break
                 key_values.append(value)
                 continue
-            category = _literal_category(value)
+            category = value_category(value)
             if category is None:
                 break
             if type_category is not None:
@@ -497,7 +490,7 @@ def choose_index_range(node: ScanPlan,
             continue
 
         def literal_ok(value: Any, _category: str = category) -> bool:
-            return _literal_category(value) == _category
+            return value_category(value) == _category
 
         bounds = extract_range_bounds(node.pushed, column, node.qualifier,
                                       literal_ok)

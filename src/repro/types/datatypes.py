@@ -63,6 +63,26 @@ class DataType(enum.Enum):
 #: Types whose Python representation is a string.
 _TEXT_LIKE = {DataType.TEXT, DataType.SEQUENCE, DataType.XML}
 
+#: Coarse comparison category of each column type.  Values of one category
+#: compare natively; across categories ``compare_values`` falls back to the
+#: string forms (so ``5 = '5'`` holds), which no ordered or hashed index can
+#: reproduce — index probes and join keys therefore stay within a category.
+TYPE_CATEGORIES = {
+    DataType.INTEGER: "num", DataType.FLOAT: "num", DataType.BOOLEAN: "num",
+    DataType.TEXT: "text", DataType.SEQUENCE: "text", DataType.XML: "text",
+    DataType.TIMESTAMP: "time",
+}
+
+
+def value_category(value: Any) -> Optional[str]:
+    """Category of a literal or probe value: "num", "text", or ``None``."""
+    if isinstance(value, (bool, int, float)):
+        return "num"
+    if isinstance(value, str):
+        return "text"
+    return None
+
+
 #: ISO format used when timestamps are written out as text.
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S.%f"
 

@@ -7,6 +7,7 @@ import pytest
 from repro.catalog.catalog import SystemCatalog
 from repro.catalog.schema import Column, TableSchema
 from repro.core.errors import CatalogError, ConstraintViolationError, TypeMismatchError
+from repro.index.manager import IndexManager
 from repro.types.datatypes import DataType
 
 
@@ -120,11 +121,16 @@ class TestTable:
         assert third > second
 
     def test_find_tuples(self):
-        table = self._table()
-        table.insert_row({"GID": "JW0001", "GName": "dup", "GSequence": "A"})
-        table.insert_row({"GID": "JW0002", "GName": "dup", "GSequence": "C"})
+        """Equality lookup on a non-key column, by scan and by index probe."""
+        catalog = SystemCatalog()
+        table = catalog.create_table(gene_schema())
+        first = table.insert_row({"GID": "JW0001", "GName": "dup", "GSequence": "A"})
+        second = table.insert_row({"GID": "JW0002", "GName": "dup", "GSequence": "C"})
         table.insert_row({"GID": "JW0003", "GName": "other", "GSequence": "G"})
-        assert len(table.find_tuples("GName", "dup")) == 2
+        indexes = IndexManager(catalog)
+        assert indexes.find_tuples("Gene", "GName", "dup") == [first, second]
+        indexes.create_index("gene_name", "Gene", ["GName"])
+        assert indexes.find_tuples("Gene", "GName", "dup") == [first, second]
 
     def test_rows_as_dicts(self):
         table = self._table()

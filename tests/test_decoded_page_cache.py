@@ -150,9 +150,14 @@ class TestEngineIntegration:
         db.config.decoded_page_cache_pages = 256
         db.query(QUERY)
         cached_before = len(db.catalog.pool.decoded)
-        # UPDATE dirties the page holding row 0 (and no others).
+        # UPDATE dirties the page holding row 0 (and no others): a rescan
+        # misses that one page and hits every other.  (The UPDATE's own
+        # target scan caches the tuple-id decode shape of each page, which
+        # the rescan does not read.)
         db.execute("UPDATE t SET v = -1.0 WHERE id = 0")
-        assert len(db.catalog.pool.decoded) < cached_before
+        db.query(QUERY)
+        assert db.engine.last_cache.misses == 1
+        assert db.engine.last_cache.hits == cached_before - 1
         rows = db.query("SELECT v FROM t WHERE id = 0").rows
         assert rows[0].values[0] == -1.0
 
