@@ -338,73 +338,6 @@ def test_spill_breakers_full():
 
 
 # ---------------------------------------------------------------------------
-# Decoded-page cache: warm rescan vs. decode-every-scan (PR 7)
-# ---------------------------------------------------------------------------
-def run_decoded_cache_rescan(rows: int, pool_size: int, label: str) -> dict:
-    """Repeated filter scan with the decoded-page cache on vs. off.
-
-    The pool must hold the whole table: the cache drops entries whenever
-    their raw page is evicted (it must never outlive the bytes it mirrors),
-    so a pool smaller than the table invalidates continuously and the warm
-    path degenerates to the cold one."""
-    db = Database(pool_size=pool_size)
-    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT)")
-    table = db.table("t")
-    for i in range(rows):
-        table.insert_row({"id": i, "v": i * 0.5})
-    db.analyze("t")
-    pages = db.catalog.table("t").num_pages()
-    assert pages < pool_size, "bench requires the table to fit in the pool"
-    query = f"SELECT id, v FROM t WHERE v >= {rows * 0.05}"
-
-    def best_of(repeats: int = 5) -> dict:
-        best = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = db.query(query)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return {"seconds": round(best, 6), "rows": len(result)}
-
-    series = {"decode_every_scan": best_of()}
-    db.config.decoded_page_cache_pages = pool_size
-    db.query(query)                       # cold pass populates the cache
-    assert db.engine.last_cache.misses == pages
-    series["warm_rescan"] = best_of()
-    hit_ratio = db.engine.last_cache.hit_ratio
-    db.config.decoded_page_cache_pages = 0
-    series["speedup"] = round(series["decode_every_scan"]["seconds"]
-                              / series["warm_rescan"]["seconds"], 2)
-    series["table_pages"] = pages
-    series["hit_ratio"] = hit_ratio
-    print_table(
-        f"decoded-page cache rescan, {rows} rows / {pages} pages ({label})",
-        ["series", "seconds", "rows"],
-        [[name, f"{m['seconds']:.4f}", m["rows"]]
-         for name, m in series.items() if isinstance(m, dict)],
-    )
-    print(f"  speedup (decode-every-scan / warm rescan): {series['speedup']}x, "
-          f"hit ratio {hit_ratio:.2f}")
-    assert hit_ratio == 1.0
-    assert series["warm_rescan"]["rows"] == series["decode_every_scan"]["rows"]
-    return series
-
-
-def test_decoded_cache_rescan_smoke():
-    series = run_decoded_cache_rescan(6_000, pool_size=256, label="smoke")
-    assert series["speedup"] >= 1.2
-    write_bench_results("streaming", {"decoded_cache_rescan_6k": series})
-
-
-@pytest.mark.slow
-def test_decoded_cache_rescan_full():
-    """The PR-7 acceptance number: >= 1.5x for the warm rescan."""
-    series = run_decoded_cache_rescan(20_000, pool_size=512, label="full")
-    assert series["speedup"] >= 1.5
-    write_bench_results("streaming", {"decoded_cache_rescan": series})
-
-
-# ---------------------------------------------------------------------------
 # Prepared statements: cached-plan reuse vs. parse-per-call (PR 5)
 # ---------------------------------------------------------------------------
 def prepared_db(rows: int) -> Database:

@@ -157,9 +157,6 @@ def main() -> None:
     # -- batch mode, range scans, and disk spilling at scale -------------------
     demo_batches_and_spilling()
 
-    # -- the decoded-page cache ------------------------------------------------
-    demo_decoded_cache()
-
     # -- the DB-API surface: parameters, prepared plans ------------------------
     demo_parameterized_queries()
 
@@ -229,44 +226,6 @@ def demo_providers() -> None:
     cur.execute("DETACH orders")
     print(f"After DETACH: {db.foreign_table_names()}")
     db.close()
-
-
-def demo_decoded_cache() -> None:
-    """Repeated scans reuse decoded pages instead of re-deserializing them.
-
-    See docs/TUNING.md (`decoded_page_cache_pages`) and docs/ARCHITECTURE.md
-    ("Decoded-page cache").
-    """
-    import time
-
-    # Pool large enough to hold the whole table: decoded entries are dropped
-    # whenever their raw page is evicted, so the cache needs the pages to
-    # stay resident to pay off.
-    db = Database(pool_size=512)
-    db.execute("CREATE TABLE hits (hid INTEGER PRIMARY KEY, tag INTEGER, "
-               "w FLOAT)")
-    hits = db.table("hits")
-    for i in range(8_000):
-        hits.insert_row({"hid": i, "tag": i % 50, "w": i * 0.25})
-    db.execute("ANALYZE")
-
-    # Decoded-page cache: the second identical scan skips deserialization.
-    scan = "SELECT hid, w FROM hits WHERE w >= 100.0"
-    db.config.decoded_page_cache_pages = 512
-    db.query(scan)                                     # cold: populates
-    started = time.perf_counter()
-    db.query(scan)                                     # warm: all hits
-    warm = time.perf_counter() - started
-    cache = db.engine.last_cache
-    print(f"warm rescan: {cache.hits} decoded-page hits, "
-          f"{cache.misses} misses ({warm * 1e3:.1f} ms)")
-
-    # Any write to a page invalidates its decoded entry — the cache can
-    # never serve stale rows.
-    db.execute("UPDATE hits SET w = -1.0 WHERE hid = 0")
-    db.query(scan)
-    print(f"after an UPDATE the touched page decodes afresh: "
-          f"{db.engine.last_cache.misses} miss(es)")
 
 
 def demo_parameterized_queries() -> None:

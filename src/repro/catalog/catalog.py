@@ -51,8 +51,7 @@ class SystemCatalog:
         key = schema.name.lower()
         if key in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
-        table = Table(schema, self.pool, journal=self.journal,
-                      version_source=lambda: self.schema_version)
+        table = Table(schema, self.pool, journal=self.journal)
         self._tables[key] = table
         self.bump_schema_version()
         if self.journal is not None:
@@ -63,9 +62,8 @@ class SystemCatalog:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
-        table = self._tables.pop(key)
+        del self._tables[key]
         self.statistics.drop(name)
-        self.pool.decoded.invalidate_table(table.name)
         self.bump_schema_version()
         if self.journal is not None:
             self.journal.note_drop_table(name)

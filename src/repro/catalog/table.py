@@ -16,7 +16,7 @@ primary key.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.core.errors import CatalogError, ConstraintViolationError
@@ -34,15 +34,10 @@ class Table:
     """A stored user relation."""
 
     def __init__(self, schema: TableSchema, pool: BufferPool,
-                 journal: Optional[Any] = None,
-                 version_source: Optional[Callable[[], int]] = None):
+                 journal: Optional[Any] = None):
         self.schema = schema
         self.pool = pool
         self.heap = HeapFile(pool)
-        #: Supplies the catalog's ``schema_version`` for decoded-page cache
-        #: keys; a standalone table pins version 0 (still correct — DML
-        #: invalidation goes through the page-dirty path, not the version).
-        self._version_source = version_source
         #: The transaction manager acting as mutation journal (see
         #: :mod:`repro.core.transactions`), or ``None`` for a standalone
         #: table.  Every committed-path mutation reports its after-image
@@ -226,18 +221,11 @@ class Table:
         ``with_tuple_ids`` is False.  While the physical order still matches
         tuple-id order (the common, append-only case) pages stream straight
         through; after a record relocation the scan falls back to directory
-        order with a per-page decode cache.
+        order, decoding a page whenever the walk moves onto it.
         """
         if self._page_order_is_tid_order:
-            cache = self.pool.decoded
-            version = (self._version_source()
-                       if self._version_source is not None else 0)
-            name = self.name
             for page_id in self.heap.page_ids:
-                decoded = cache.get(name, page_id, version, with_tuple_ids)
-                if decoded is None:
-                    decoded = self.heap.scan_page_rows(page_id, with_tuple_ids)
-                    cache.put(name, page_id, version, with_tuple_ids, decoded)
+                decoded = self.heap.scan_page_rows(page_id, with_tuple_ids)
                 if decoded:
                     yield decoded
             return

@@ -57,7 +57,6 @@ from repro.executor.prepared import (
 from repro.index.manager import IndexManager
 from repro.planner import plan as planlib
 from repro.providers.manager import ForeignTableManager
-from repro.storage.buffer_pool import DecodedCacheView
 from repro.storage.spill import SpillManager, SpillStats
 from repro.catalog.statistics import DEFAULT_SELECTIVITY
 from repro.planner.expressions import (
@@ -159,11 +158,6 @@ class EngineConfig:
     #: Batch concurrent committers into one WAL fsync (group commit).  With
     #: it off every commit pays its own fsync.
     group_commit: bool = True
-    #: Pages held by the buffer pool's decoded-record cache (decoded tuple
-    #: lists keyed by ``(table, page, schema version)``), letting repeated
-    #: scans skip record deserialization.  ``0`` (the default) disables the
-    #: cache.
-    decoded_page_cache_pages: int = 0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -209,12 +203,6 @@ class EngineConfig:
             raise PlanningError(
                 f"unknown synchronous mode {self.synchronous!r}; "
                 f"expected one of {SYNCHRONOUS_MODES}")
-        if not isinstance(self.decoded_page_cache_pages, int) \
-                or isinstance(self.decoded_page_cache_pages, bool) \
-                or self.decoded_page_cache_pages < 0:
-            raise PlanningError(
-                f"decoded_page_cache_pages must be a non-negative integer, "
-                f"got {self.decoded_page_cache_pages!r}")
 
 
 #: Field names of :class:`EngineConfig`, resolved once — ``fingerprint()``
@@ -282,8 +270,6 @@ class _QueryLocal(threading.local):
         self.last_plan: Optional[planlib.PlanNode] = None
         self.last_sort_elided = False
         self.last_spill = SpillStats()
-        #: Built lazily by the engine property (needs the catalog's pool).
-        self.last_cache: Optional[DecodedCacheView] = None
         self.last_plan_cached = False
         self.prepared_context: Optional[_PreparedContext] = None
 
@@ -346,8 +332,6 @@ class Engine:
     # ``last_spill`` — spill activity (partition/run counts, row/byte
     # counters); updated while rows drain, so a streaming consumer sees
     # final numbers once the stream is exhausted.
-    # ``last_cache`` — per-query window over the buffer pool's decoded-page
-    # cache statistics; also counts while a stream drains.
     # ``last_plan_cached`` — whether the most recent SELECT reused a cached
     # plan (``last_plan`` then *is* the identity-stable cached template).
     # ------------------------------------------------------------------
@@ -374,18 +358,6 @@ class Engine:
     @last_spill.setter
     def last_spill(self, value: SpillStats) -> None:
         self._query_local.last_spill = value
-
-    @property
-    def last_cache(self) -> DecodedCacheView:
-        view = self._query_local.last_cache
-        if view is None:
-            view = DecodedCacheView(self.catalog.pool.decoded.stats)
-            self._query_local.last_cache = view
-        return view
-
-    @last_cache.setter
-    def last_cache(self, value: DecodedCacheView) -> None:
-        self._query_local.last_cache = value
 
     @property
     def last_plan_cached(self) -> bool:
@@ -574,12 +546,8 @@ class Engine:
         return StreamingResultSet(schema, rows)
 
     def _begin_query(self) -> None:
-        """Reset the per-query observability surfaces and sync the decoded
-        cache capacity with the (mutable) config knob."""
+        """Reset the per-query observability surfaces."""
         self.last_spill = SpillStats()
-        decoded = self.catalog.pool.decoded
-        decoded.set_capacity(self.config.decoded_page_cache_pages)
-        self.last_cache = DecodedCacheView(decoded.stats)
 
     def _spill_manager(self) -> Optional[SpillManager]:
         """A spill coordinator, or ``None`` without a budget.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page
@@ -36,175 +35,6 @@ class BufferPoolStatistics:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class DecodedCacheStatistics:
-    """Hit/miss counters for the decoded-page cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations}
-
-
-class DecodedCacheView:
-    """Per-query window over a :class:`DecodedCacheStatistics`.
-
-    The cache (and its counters) live as long as the buffer pool; a query
-    wants "what happened during *me*".  The view snapshots the counters at
-    construction and reports deltas, staying live while a streaming result
-    is still being drained.
-    """
-
-    __slots__ = ("_stats", "_base")
-
-    def __init__(self, stats: DecodedCacheStatistics):
-        self._stats = stats
-        self._base = (stats.hits, stats.misses, stats.evictions,
-                      stats.invalidations)
-
-    @property
-    def hits(self) -> int:
-        return self._stats.hits - self._base[0]
-
-    @property
-    def misses(self) -> int:
-        return self._stats.misses - self._base[1]
-
-    @property
-    def evictions(self) -> int:
-        return self._stats.evictions - self._base[2]
-
-    @property
-    def invalidations(self) -> int:
-        return self._stats.invalidations - self._base[3]
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations}
-
-
-class DecodedPageCache:
-    """LRU cache of *decoded* page record lists, keyed by
-    ``(table, page_id, schema_version, with_tuple_ids)``.
-
-    Decoding a page (``deserialize_records``) dominates warm scans — the
-    raw bytes may sit in the buffer pool, yet every scan pays the per-value
-    tag dispatch again.  This cache keeps the decoded tuple lists so a
-    repeated scan skips decoding entirely.  Consistency comes from three
-    invalidation paths, all driven by the buffer pool that owns the cache:
-
-    * **page dirty** — every heap mutation funnels through
-      ``BufferPool.mark_dirty``, which drops all entries for that page;
-    * **page evict** — an evicted frame drops its decoded entries too, so
-      the decoded cache never outlives the raw page it mirrors;
-    * **schema version** — the catalog's ``schema_version`` is part of the
-      key, so DDL (and ANALYZE) strands old entries, which age out by LRU.
-
-    ``capacity`` counts *pages* (entries); 0 disables the cache.  Cached
-    lists are shared across queries and must never be mutated by readers —
-    scan paths only slice them.
-    """
-
-    def __init__(self, capacity: int = 0):
-        self.capacity = capacity
-        self.stats = DecodedCacheStatistics()
-        self._entries: "OrderedDict[Tuple[Any, ...], List[Any]]" = OrderedDict()
-        #: page_id -> keys currently cached for that page (all versions).
-        self._by_page: Dict[int, Set[Tuple[Any, ...]]] = {}
-        #: Concurrent readers (the server's shared-read scans) hit get/put
-        #: from many threads, and LRU maintenance plus the ``_by_page``
-        #: index are multi-step mutations.  Re-entrant: ``put`` shrinks
-        #: while already holding it.
-        self._lock = threading.RLock()
-
-    def set_capacity(self, capacity: int) -> None:
-        with self._lock:
-            if capacity != self.capacity:
-                self.capacity = capacity
-                self._shrink()
-
-    def get(self, table: str, page_id: int, schema_version: int,
-            with_tuple_ids: bool) -> Optional[List[Any]]:
-        if self.capacity <= 0:
-            return None
-        key = (table, page_id, schema_version, with_tuple_ids)
-        with self._lock:
-            rows = self._entries.get(key)
-            if rows is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return rows
-
-    def put(self, table: str, page_id: int, schema_version: int,
-            with_tuple_ids: bool, rows: List[Any]) -> None:
-        if self.capacity <= 0:
-            return
-        key = (table, page_id, schema_version, with_tuple_ids)
-        with self._lock:
-            self._entries[key] = rows
-            self._entries.move_to_end(key)
-            self._by_page.setdefault(page_id, set()).add(key)
-            self._shrink()
-
-    def _shrink(self) -> None:
-        while len(self._entries) > max(self.capacity, 0):
-            key, _ = self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            keys = self._by_page.get(key[1])
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_page[key[1]]
-
-    def invalidate_page(self, page_id: int) -> None:
-        with self._lock:
-            keys = self._by_page.pop(page_id, None)
-            if not keys:
-                return
-            for key in keys:
-                if self._entries.pop(key, None) is not None:
-                    self.stats.invalidations += 1
-
-    def invalidate_table(self, table: str) -> None:
-        with self._lock:
-            doomed = [key for key in self._entries if key[0] == table]
-            for key in doomed:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                keys = self._by_page.get(key[1])
-                if keys is not None:
-                    keys.discard(key)
-                    if not keys:
-                        del self._by_page[key[1]]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_page.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class BufferPool:
     """A simple LRU page cache with write-back of dirty pages."""
 
@@ -214,17 +44,11 @@ class BufferPool:
         self.disk = disk
         self.capacity = capacity
         self.stats = BufferPoolStatistics()
-        #: Decoded-record cache tied to this pool's lifecycle: page dirty
-        #: and evict both invalidate, so decoded entries never outlive the
-        #: raw page bytes they were produced from.  Disabled (capacity 0)
-        #: until the engine syncs ``EngineConfig.decoded_page_cache_pages``.
-        self.decoded = DecodedPageCache()
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
         #: Guards frames, stats, and the no-steal depth: fetch is a
         #: check-then-read-then-admit sequence and eviction walks the LRU
         #: order, neither of which survives interleaving with concurrent
-        #: readers.  Re-entrant (``new_page`` admits while holding it);
-        #: always taken *before* the decoded cache's own lock, never after.
+        #: readers.  Re-entrant (``new_page`` admits while holding it).
         self._lock = threading.RLock()
         #: Depth of open no-steal scopes.  While positive (a transaction is
         #: in flight), eviction refuses to write dirty pages back to disk:
@@ -251,20 +75,18 @@ class BufferPool:
                 self._shrink_to_capacity()
 
     def _shrink_to_capacity(self) -> None:
-        """Evict the overshoot a no-steal scope may have left behind.
+        """Evict LRU victims until the pool is back within capacity.
 
-        Runs once steal is allowed again, so dirty victims are written back
-        normally — without this, a small pool filled with dirty pages would
-        keep growing (nothing else ever evicts outside ``_admit``).
+        Runs on every admit and once a no-steal scope closes, so the
+        overshoot that scope left behind is written back normally.
         """
         with self._lock:
             while len(self._frames) > self.capacity:
                 victim_id = self._pick_victim()
-                if victim_id is None:  # pragma: no cover - depth is 0 here
-                    break
+                if victim_id is None:
+                    break  # no-steal: every frame is dirty, overshoot capacity
                 victim = self._frames.pop(victim_id)
                 self.stats.evictions += 1
-                self.decoded.invalidate_page(victim_id)
                 if victim.dirty:
                     self.disk.write_page(victim)
                     victim.dirty = False
@@ -295,11 +117,6 @@ class BufferPool:
             self._admit(page)
             return page
 
-    def mark_dirty(self, page: Page) -> None:
-        with self._lock:
-            page.dirty = True
-            self.decoded.invalidate_page(page.page_id)
-
     def flush_page(self, page_id: int) -> None:
         with self._lock:
             page = self._frames.get(page_id)
@@ -317,23 +134,13 @@ class BufferPool:
         with self._lock:
             self.flush_all()
             self._frames.clear()
-            self.decoded.clear()
 
     # ------------------------------------------------------------------
     def _admit(self, page: Page) -> None:
         with self._lock:
             self._frames[page.page_id] = page
             self._frames.move_to_end(page.page_id)
-            while len(self._frames) > self.capacity:
-                victim_id = self._pick_victim()
-                if victim_id is None:
-                    break  # no-steal: every frame is dirty, overshoot capacity
-                victim = self._frames.pop(victim_id)
-                self.stats.evictions += 1
-                self.decoded.invalidate_page(victim_id)
-                if victim.dirty:
-                    self.disk.write_page(victim)
-                    victim.dirty = False
+            self._shrink_to_capacity()
 
     def _pick_victim(self) -> "int | None":
         """LRU victim; under no-steal, the least-recently-used *clean* page."""

@@ -47,14 +47,12 @@ class HeapFile:
             page = self.pool.fetch_page(self.page_ids[-1])
             try:
                 slot = page.insert(record)
-                self.pool.mark_dirty(page)
                 return RecordId(page.page_id, slot)
             except PageFullError:
                 pass
         page = self.pool.new_page()
         self.page_ids.append(page.page_id)
         slot = page.insert(record)
-        self.pool.mark_dirty(page)
         return RecordId(page.page_id, slot)
 
     def update(self, record_id: RecordId, values: Sequence[Any], tuple_id: int) -> RecordId:
@@ -62,17 +60,14 @@ class HeapFile:
         record = serialize_row((tuple_id,) + tuple(values))
         page = self.pool.fetch_page(record_id.page_id)
         if page.update(record_id.slot, record):
-            self.pool.mark_dirty(page)
             return record_id
         # The record no longer fits: delete and re-insert elsewhere.
         page.delete(record_id.slot)
-        self.pool.mark_dirty(page)
         return self._place_record(record)
 
     def delete(self, record_id: RecordId) -> None:
         page = self.pool.fetch_page(record_id.page_id)
         page.delete(record_id.slot)
-        self.pool.mark_dirty(page)
 
     # ------------------------------------------------------------------
     # Reads

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.catalog.catalog import SystemCatalog
 from repro.catalog.schema import Column, TableSchema
 from repro.core.errors import CatalogError, ConstraintViolationError, TypeMismatchError
@@ -171,3 +173,112 @@ class TestSystemCatalog:
         table = catalog.create_table(gene_schema())
         table.insert_row({"GID": "JW0001", "GName": "a", "GSequence": "A"})
         assert catalog.io_statistics().pages_allocated >= 1
+
+
+# ---------------------------------------------------------------------------
+# Batched scans: every page decoded as fetched, equal to the row-at-a-time scan
+# ---------------------------------------------------------------------------
+def note_schema() -> TableSchema:
+    return TableSchema("Note", [Column("n", DataType.INTEGER),
+                                Column("body", DataType.TEXT)])
+
+
+def note_table(rows: int, pool_size: int = 4):
+    table = SystemCatalog(pool_size=pool_size).create_table(note_schema())
+    for n in range(rows):
+        table.insert_row({"n": n, "body": "x" * 100})
+    return table
+
+
+def assert_batches_match_scan(table) -> None:
+    expected = list(table.scan())
+    for with_tuple_ids in (True, False):
+        batched = [row for batch in table.scan_batches(with_tuple_ids)
+                   for row in batch]
+        assert batched == (expected if with_tuple_ids
+                           else [values for _, values in expected])
+
+
+def apply_step(table, step) -> None:
+    """Run one ``(kind, position, body length)`` DML step; ``position``
+    picks a live row by index into the sorted tuple ids."""
+    kind, position, length = step
+    if kind == "insert":
+        table.insert_row({"n": position, "body": "i" * length})
+        return
+    tuple_ids = table.tuple_ids
+    if not tuple_ids:
+        return
+    tuple_id = tuple_ids[position % len(tuple_ids)]
+    if kind == "update":
+        table.update_row(tuple_id, {"body": "u" * length})
+    else:
+        table.delete_row(tuple_id)
+
+
+def dml_steps(max_body: int, max_size: int):
+    return st.lists(st.tuples(st.sampled_from(["insert", "update", "delete"]),
+                              st.integers(0, 1000), st.integers(0, max_body)),
+                    max_size=max_size)
+
+
+def fetch_all(cur, sql):
+    cur.execute(sql)
+    return [tuple(row.values) for row in cur.fetchall()]
+
+
+class TestScanBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(in_place=dml_steps(max_body=100, max_size=10),
+           relocating=dml_steps(max_body=1500, max_size=20))
+    def test_random_dml_keeps_batched_scan_equal_to_scan(self, in_place,
+                                                         relocating):
+        # 60 seeded rows span two pages of a four-page pool.  Updates in the
+        # first phase never grow a row, so pages stay in tuple-id order.
+        table = note_table(rows=60)
+        for step in in_place:
+            apply_step(table, step)
+            assert_batches_match_scan(table)
+        # At most ten steps cannot empty the first page, so growing its
+        # lowest row past a page's worth of free space moves the record to
+        # the tail: scans now walk the tuple-id directory instead.
+        table.update_row(min(table.tuple_ids), {"body": "g" * 3500})
+        assert not table._page_order_is_tid_order
+        assert_batches_match_scan(table)
+        for step in relocating:
+            apply_step(table, step)
+            assert_batches_match_scan(table)
+
+    def test_scan_after_raw_page_eviction_equals_scan(self):
+        table = note_table(rows=200, pool_size=2)
+        assert table.num_pages() > table.pool.capacity
+        evictions = table.pool.stats.evictions
+        assert_batches_match_scan(table)
+        assert table.pool.stats.evictions > evictions
+        assert_batches_match_scan(table)
+
+    def test_batched_scans_reflect_insert_update_delete(self):
+        with repro.connect() as conn:
+            cur = conn.cursor()
+            cur.execute("CREATE TABLE t (id INTEGER, s TEXT)")
+            cur.executemany("INSERT INTO t VALUES (?, ?)",
+                            [(i, f"name{i}") for i in range(1000)])
+            assert len(fetch_all(cur, "SELECT id FROM t")) == 1000
+            cur.execute("INSERT INTO t VALUES (5000, 'new')")
+            assert fetch_all(cur, "SELECT id FROM t")[-1] == (5000,)
+            cur.execute("DELETE FROM t WHERE id < 10")
+            assert fetch_all(cur, "SELECT id FROM t")[0] == (10,)
+            cur.execute("UPDATE t SET s = 'renamed' WHERE id = 5000")
+            assert fetch_all(cur, "SELECT s FROM t")[-1] == ("renamed",)
+
+    def test_drop_and_recreate_table_returns_only_new_rows(self):
+        with repro.connect() as conn:
+            cur = conn.cursor()
+            cur.execute("CREATE TABLE t (id INTEGER, s TEXT)")
+            cur.executemany("INSERT INTO t VALUES (?, ?)",
+                            [(i, "old") for i in range(300)])
+            fetch_all(cur, "SELECT * FROM t")
+            cur.execute("DROP TABLE t")
+            cur.execute("CREATE TABLE t (id INTEGER)")
+            cur.execute("INSERT INTO t VALUES (42)")
+            assert fetch_all(cur, "SELECT * FROM t") == [(42,)]

@@ -1,6 +1,7 @@
-"""``tools/check_docs.py``'s knob guard: docs/TUNING.md and ``EngineConfig``
+"""``tools/check_docs.py``'s guards: docs/TUNING.md and ``EngineConfig``
 must name exactly the same knobs, so a half-finished knob deletion (or an
-undocumented new knob) fails the docs job."""
+undocumented new knob) fails the docs job; and the docs may name only the
+``engine.last_*`` surfaces ``Engine`` defines."""
 
 from __future__ import annotations
 
@@ -34,3 +35,16 @@ def test_knob_guard_flags_disagreement_in_both_directions():
     assert any("`removed_knob` names no EngineConfig field" in p
                for p in problems)
     assert any("EngineConfig.new_knob has no" in p for p in problems)
+
+
+def test_docs_name_only_defined_engine_surfaces():
+    check_docs = load_check_docs()
+    surfaces = check_docs.engine_surfaces()
+    assert "last_spill" in surfaces
+    for path in check_docs.surface_files():
+        with open(path, encoding="utf-8") as handle:
+            assert check_docs.check_surfaces(path, handle.read(),
+                                             surfaces) == []
+    text = "Read `db.engine.last_spill`, then `db.engine.last_bogus`.\n"
+    assert check_docs.check_surfaces("docs/X.md", text, surfaces) == [
+        "docs/X.md: engine.last_bogus is not an Engine attribute"]

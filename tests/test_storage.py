@@ -160,7 +160,6 @@ class TestBufferPool:
         pool = BufferPool(disk, capacity=2)
         first = pool.new_page()
         first.insert(b"dirty data")
-        pool.mark_dirty(first)
         # Allocating two more pages evicts the first (LRU) and writes it back.
         pool.new_page()
         pool.new_page()

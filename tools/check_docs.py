@@ -1,5 +1,6 @@
-"""Docs sanity checker: every internal markdown link must resolve, and
-docs/TUNING.md must document exactly the knobs ``EngineConfig`` has.
+"""Docs sanity checker: every internal markdown link must resolve,
+docs/TUNING.md must document exactly the knobs ``EngineConfig`` has, and
+the docs name only ``engine.last_*`` surfaces that ``Engine`` defines.
 
 Usage (CI): ``python tools/check_docs.py``
 
@@ -18,8 +19,15 @@ External links (``http(s)://``, ``mailto:``) are skipped — this guards the
 The knob check compares the ``### `knob``` headings of docs/TUNING.md with
 the fields of ``repro.EngineConfig``: a heading naming no field (a knob
 deleted from the code but not the docs) and a field with no heading (a knob
-added, or half-deleted, without documentation) both fail.  Exits non-zero
-listing every problem.
+added, or half-deleted, without documentation) both fail.
+
+The observability check reads ``docs/*.md`` and the verify skill notes
+(``.claude/skills/verify/SKILL.md``) for ``engine.last_<name>`` mentions
+and fails on any name ``repro.executor.engine.Engine`` does not define, so
+a removed per-query surface cannot stay documented.  CHANGES.md and
+ROADMAP.md are history and may name removed surfaces.
+
+Exits non-zero listing every problem.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
 _KNOB_HEADING = re.compile(r"^### `(\w+)`", re.MULTILINE)
+_ENGINE_SURFACE = re.compile(r"engine\.(last_\w+)")
 
 
 def github_slug(heading: str) -> str:
@@ -93,6 +102,28 @@ def config_fields() -> set:
     return {field.name for field in dataclasses.fields(EngineConfig)}
 
 
+def engine_surfaces() -> set:
+    """The ``last_*`` observability attributes ``Engine`` defines."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.executor.engine import Engine
+    return {name for name in dir(Engine) if name.startswith("last_")}
+
+
+def surface_files() -> list:
+    """Current-API docs checked for stale ``engine.last_*`` names."""
+    files = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    skill = os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md")
+    if os.path.exists(skill):
+        files.append(skill)
+    return files
+
+
+def check_surfaces(relative: str, text: str, surfaces: set) -> list:
+    """``engine.last_*`` names in ``text`` that ``Engine`` does not define."""
+    return [f"{relative}: engine.{name} is not an Engine attribute"
+            for name in sorted(set(_ENGINE_SURFACE.findall(text)) - surfaces)]
+
+
 def check_knobs(tuning_text: str, fields: set) -> list:
     """Mismatches between TUNING.md's knob headings and the config fields."""
     documented = set(_KNOB_HEADING.findall(tuning_text))
@@ -113,6 +144,11 @@ def main() -> int:
     with open(os.path.join(REPO_ROOT, "docs", "TUNING.md"),
               encoding="utf-8") as handle:
         problems.extend(check_knobs(handle.read(), config_fields()))
+    surfaces = engine_surfaces()
+    for path in surface_files():
+        with open(path, encoding="utf-8") as handle:
+            problems.extend(check_surfaces(os.path.relpath(path, REPO_ROOT),
+                                           handle.read(), surfaces))
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown file(s): "
