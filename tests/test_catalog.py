@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import EngineConfig
 from repro.catalog.catalog import SystemCatalog
 from repro.catalog.schema import Column, TableSchema
 from repro.core.errors import CatalogError, ConstraintViolationError, TypeMismatchError
+from repro.executor.engine import EXECUTION_MODES
 from repro.index.manager import IndexManager
 from repro.types.datatypes import DataType
 
@@ -257,8 +259,50 @@ class TestScanBatches:
         assert table.pool.stats.evictions > evictions
         assert_batches_match_scan(table)
 
-    def test_batched_scans_reflect_insert_update_delete(self):
-        with repro.connect() as conn:
+    def test_update_dirties_only_the_touched_page(self):
+        table = note_table(rows=60, pool_size=8)
+        assert table.num_pages() > 1
+        table.pool.flush_all()
+        target = table.tuple_ids[-1]
+        table.update_row(target, {"body": "y" * 100})
+        dirty = [page_id for page_id, page in table.pool._frames.items()
+                 if page.dirty]
+        assert dirty == [table._directory[target].page_id]
+        assert_batches_match_scan(table)
+
+    def test_batched_scans_stay_within_pool_capacity(self):
+        table = note_table(rows=200, pool_size=2)
+        assert table.num_pages() > table.pool.capacity
+        table.update_row(min(table.tuple_ids), {"body": "g" * 3500})
+        for order_is_tid_order in (False, True):
+            table._page_order_is_tid_order = order_is_tid_order
+            for with_tuple_ids in (True, False):
+                for _ in table.scan_batches(with_tuple_ids):
+                    assert len(table.pool._frames) <= table.pool.capacity
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_rescans_match_table_scan_warm_and_cold(self, mode):
+        config = EngineConfig(execution_mode=mode)
+        with repro.connect(pool_size=8, config=config) as conn:
+            cur = conn.cursor()
+            cur.execute("CREATE TABLE t (id INTEGER, v FLOAT, s TEXT)")
+            cur.executemany("INSERT INTO t VALUES (?, ?, ?)",
+                            [(i, i * 0.5, f"name{i % 100}")
+                             for i in range(1000)])
+            catalog = conn.database.catalog
+            table = catalog.table("t")
+            assert table.num_pages() > catalog.pool.capacity
+            expected = [values[:2] for _, values in table.scan()
+                        if values[1] >= 50.0]
+            query = "SELECT id, v FROM t WHERE v >= 50.0"
+            assert fetch_all(cur, query) == expected
+            assert fetch_all(cur, query) == expected
+            catalog.pool.clear()
+            assert fetch_all(cur, query) == expected
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_batched_scans_reflect_insert_update_delete(self, mode):
+        with repro.connect(config=EngineConfig(execution_mode=mode)) as conn:
             cur = conn.cursor()
             cur.execute("CREATE TABLE t (id INTEGER, s TEXT)")
             cur.executemany("INSERT INTO t VALUES (?, ?)",
@@ -271,8 +315,9 @@ class TestScanBatches:
             cur.execute("UPDATE t SET s = 'renamed' WHERE id = 5000")
             assert fetch_all(cur, "SELECT s FROM t")[-1] == ("renamed",)
 
-    def test_drop_and_recreate_table_returns_only_new_rows(self):
-        with repro.connect() as conn:
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_drop_and_recreate_table_returns_only_new_rows(self, mode):
+        with repro.connect(config=EngineConfig(execution_mode=mode)) as conn:
             cur = conn.cursor()
             cur.execute("CREATE TABLE t (id INTEGER, s TEXT)")
             cur.executemany("INSERT INTO t VALUES (?, ?)",

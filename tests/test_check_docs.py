@@ -48,3 +48,12 @@ def test_docs_name_only_defined_engine_surfaces():
     text = "Read `db.engine.last_spill`, then `db.engine.last_bogus`.\n"
     assert check_docs.check_surfaces("docs/X.md", text, surfaces) == [
         "docs/X.md: engine.last_bogus is not an Engine attribute"]
+
+
+def test_surface_check_reads_current_docs_but_not_history():
+    check_docs = load_check_docs()
+    relative = {os.path.relpath(path, REPO_ROOT)
+                for path in check_docs.surface_files()}
+    assert os.path.join("docs", "TUNING.md") in relative
+    assert os.path.join("docs", "ARCHITECTURE.md") in relative
+    assert not relative & {"CHANGES.md", "ROADMAP.md"}

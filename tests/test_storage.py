@@ -58,6 +58,35 @@ class TestPage:
         slot = page.insert(b"a" * 60)
         assert page.update(slot, b"b" * 120) is False
 
+    def test_fresh_page_is_clean(self):
+        assert Page(0).dirty is False
+
+    def test_insert_sets_dirty(self):
+        page = Page(0)
+        page.insert(b"row")
+        assert page.dirty
+
+    def test_update_sets_dirty(self):
+        page = Page(0)
+        slot = page.insert(b"old")
+        page.dirty = False
+        assert page.update(slot, b"new")
+        assert page.dirty
+
+    def test_delete_sets_dirty(self):
+        page = Page(0)
+        slot = page.insert(b"row")
+        page.dirty = False
+        page.delete(slot)
+        assert page.dirty
+
+    def test_update_that_does_not_fit_leaves_page_clean(self):
+        page = Page(0, page_size=128)
+        slot = page.insert(b"x")
+        page.dirty = False
+        assert page.update(slot, b"y" * 200) is False
+        assert page.dirty is False
+
     def test_serialization_roundtrip(self):
         page = Page(7, page_size=512)
         slots = [page.insert(bytes([65 + i]) * (i + 1)) for i in range(5)]
@@ -222,3 +251,35 @@ class TestHeapFile:
             heap.insert((f"value-{i:03d}", i))
         assert heap.num_pages() > 1
         assert heap.count() == 50
+
+    @pytest.mark.parametrize("mutation", ["insert", "update", "grow_update",
+                                          "delete"])
+    def test_mutation_reaches_disk_through_eviction(self, mutation):
+        # Page.insert/update/delete mark the frame dirty themselves, so a
+        # one-frame pool must write every heap mutation back as it evicts.
+        disk = InMemoryDiskManager(page_size=256)
+        pool = BufferPool(disk, capacity=1)
+        heap = HeapFile(pool)
+        expected, record_ids = {}, {}
+        for i in range(12):
+            tuple_id, record_ids[i] = heap.insert((f"value-{i:02d}",))
+            expected[tuple_id] = (f"value-{i:02d}",)
+        assert heap.num_pages() > 1
+        if mutation == "insert":
+            tuple_id, _ = heap.insert(("appended",))
+            expected[tuple_id] = ("appended",)
+        elif mutation == "delete":
+            heap.delete(record_ids[0])
+            del expected[0]
+        else:
+            values = ("z" * 150,) if mutation == "grow_update" else ("v",)
+            heap.update(record_ids[0], values, 0)
+            expected[0] = values
+        # Walk every page and end on the first: each fetch evicts the last
+        # frame, and the one left behind is a clean re-read.
+        for page_id in heap.page_ids + heap.page_ids[:1]:
+            pool.fetch_page(page_id)
+        assert not pool.fetch_page(heap.page_ids[0]).dirty
+        fresh = HeapFile(BufferPool(disk, capacity=1), page_ids=heap.page_ids)
+        assert sorted((tid, values) for _, tid, values in fresh.scan()) \
+            == sorted(expected.items())
