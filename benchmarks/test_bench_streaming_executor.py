@@ -2,11 +2,8 @@
 
 Query shapes covered:
 
-* scan+filter+LIMIT and a three-way equi-join under the streaming pipeline
-  vs. the materialized baseline (latency + tracemalloc peak);
-* the full-scan filter pipeline (no LIMIT) under the **batched** pipeline
-  vs. row-at-a-time streaming — the vectorization headline number (plain
-  wall clock: tracemalloc would distort the allocation-bound row path);
+* scan+filter+LIMIT and a three-way equi-join with and without the LIMIT
+  (latency + tracemalloc peak): the LIMIT arm must stop the pipeline early;
 * B-tree ``IndexRangeScan`` vs. sequential scan on a selective window, and
   an ORDER BY satisfied by index order (sort elided) vs. an explicit sort.
 
@@ -32,10 +29,9 @@ from bench_utils import print_table, write_bench_results
 # ---------------------------------------------------------------------------
 # Measurement helpers
 # ---------------------------------------------------------------------------
-def measure(db: Database, query: str, mode: str, *, strategy: str = "auto",
+def measure(db: Database, query: str, *, strategy: str = "auto",
             budget: int = None) -> dict:
-    """Latency + tracemalloc peak of one query under a pipeline mode."""
-    db.config.execution_mode = mode
+    """Latency + tracemalloc peak of one query."""
     db.config.join_strategy = strategy
     db.config.memory_budget_rows = budget
     try:
@@ -46,7 +42,6 @@ def measure(db: Database, query: str, mode: str, *, strategy: str = "auto",
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        db.config.execution_mode = "streaming"
         db.config.join_strategy = "auto"
         db.config.memory_budget_rows = None
     return {"seconds": round(elapsed, 6), "peak_bytes": peak, "rows": len(result)}
@@ -85,16 +80,17 @@ def join_db(genes: int, proteins_per_gene: int, samples_per_protein: int) -> Dat
 
 def run_scan_filter_limit(rows: int, label: str) -> dict:
     db = scan_db(rows)
-    query = f"SELECT eid FROM events WHERE v >= 0 AND kind <> 'k4' LIMIT 10"
-    series = {mode: measure(db, query, mode)
-              for mode in ("materialized", "streaming")}
+    query = "SELECT eid FROM events WHERE v >= 0 AND kind <> 'k4'"
+    series = {"streaming": measure(db, query + " LIMIT 10"),
+              "streaming_no_limit": measure(db, query)}
     print_table(
-        f"scan+filter+LIMIT 10 over {rows} rows ({label})",
-        ["mode", "seconds", "peak MB", "rows"],
-        [[mode, f"{m['seconds']:.4f}", f"{m['peak_bytes'] / 1e6:.2f}", m["rows"]]
-         for mode, m in series.items()],
+        f"scan+filter with and without LIMIT 10 over {rows} rows ({label})",
+        ["series", "seconds", "peak MB", "rows"],
+        [[name, f"{m['seconds']:.4f}", f"{m['peak_bytes'] / 1e6:.2f}", m["rows"]]
+         for name, m in series.items()],
     )
-    assert series["streaming"]["rows"] == series["materialized"]["rows"] == 10
+    assert series["streaming"]["rows"] == 10
+    assert series["streaming_no_limit"]["rows"] == rows * 4 // 5
     return series
 
 
@@ -103,16 +99,11 @@ def run_three_way_join(genes: int, label: str) -> dict:
     query = ("SELECT g.gid, p.pid, s.sid FROM gene g, protein p, sample s "
              "WHERE g.gid = p.gid AND p.pid = s.pid AND g.score >= 1")
     series = {
-        "materialized_hash": measure(db, query, "materialized", strategy="hash"),
-        "streaming_hash": measure(db, query, "streaming", strategy="hash"),
-        "streaming_index_nl": measure(db, query, "streaming",
-                                      strategy="index_nested_loop"),
+        "streaming_hash": measure(db, query, strategy="hash"),
+        "streaming_index_nl": measure(db, query, strategy="index_nested_loop"),
+        "streaming_index_nl_limit20": measure(db, query + " LIMIT 20",
+                                              strategy="index_nested_loop"),
     }
-    limited = query + " LIMIT 20"
-    series["streaming_index_nl_limit20"] = measure(db, limited, "streaming",
-                                                   strategy="index_nested_loop")
-    series["materialized_hash_limit20"] = measure(db, limited, "materialized",
-                                                  strategy="hash")
     print_table(
         f"3-way join, {genes} genes ({label})",
         ["series", "seconds", "peak MB", "rows"],
@@ -120,16 +111,15 @@ def run_three_way_join(genes: int, label: str) -> dict:
          for name, m in series.items()],
     )
     # Same answers regardless of path.
-    assert series["streaming_hash"]["rows"] == series["materialized_hash"]["rows"] \
-        == series["streaming_index_nl"]["rows"]
+    assert series["streaming_hash"]["rows"] == series["streaming_index_nl"]["rows"]
+    assert series["streaming_index_nl_limit20"]["rows"] == 20
     return series
 
 
-def measure_latency(db: Database, query: str, mode: str, *, repeats: int = 7,
+def measure_latency(db: Database, query: str, *, repeats: int = 7,
                     use_indexes: bool = True) -> dict:
     """Best-of-N wall-clock latency (no tracemalloc: it would dominate the
-    allocation-heavy paths and distort the batched-vs-row comparison)."""
-    db.config.execution_mode = mode
+    allocation-heavy paths and distort the comparison)."""
     db.config.use_indexes = use_indexes
     best = None
     try:
@@ -139,29 +129,8 @@ def measure_latency(db: Database, query: str, mode: str, *, repeats: int = 7,
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
     finally:
-        db.config.execution_mode = "streaming"
         db.config.use_indexes = True
     return {"seconds": round(best, 6), "rows": len(result)}
-
-
-def run_batched_vs_row(rows: int, label: str) -> dict:
-    """The vectorization headline: full-scan filter pipeline, no LIMIT."""
-    db = scan_db(rows)
-    query = "SELECT eid FROM events WHERE v >= 0 AND kind <> 'k4'"
-    series = {mode: measure_latency(db, query, mode)
-              for mode in ("streaming", "row", "materialized")}
-    series["speedup_vs_row"] = round(
-        series["row"]["seconds"] / series["streaming"]["seconds"], 2)
-    print_table(
-        f"full-scan filter pipeline over {rows} rows ({label})",
-        ["mode", "seconds", "rows/s", "rows out"],
-        [[mode, f"{m['seconds']:.4f}", f"{m['rows'] / m['seconds']:,.0f}",
-          m["rows"]]
-         for mode, m in series.items() if isinstance(m, dict)],
-    )
-    counts = {m["rows"] for m in series.values() if isinstance(m, dict)}
-    assert counts == {rows * 4 // 5}
-    return series
 
 
 def range_scan_db(rows: int) -> Database:
@@ -178,11 +147,10 @@ def run_range_scan(rows: int, label: str) -> dict:
     window = f"SELECT eid FROM events WHERE v BETWEEN {low} AND {high}"
     ordered = window + " ORDER BY v"
     series = {
-        "range_scan": measure_latency(db, window, "streaming"),
-        "seq_scan": measure_latency(db, window, "streaming", use_indexes=False),
-        "order_elided": measure_latency(db, ordered, "streaming"),
-        "order_sorted": measure_latency(db, ordered, "streaming",
-                                        use_indexes=False),
+        "range_scan": measure_latency(db, window),
+        "seq_scan": measure_latency(db, window, use_indexes=False),
+        "order_elided": measure_latency(db, ordered),
+        "order_sorted": measure_latency(db, ordered, use_indexes=False),
     }
     db.query(window)
     from repro.planner.plan import plan_access_paths
@@ -222,14 +190,12 @@ def run_spill_breakers(rows: int, label: str) -> dict:
     join_query = "SELECT fact.id, dim.id FROM fact, dim WHERE fact.id = dim.fk"
     group_query = "SELECT k, COUNT(*), SUM(v) FROM fact GROUP BY k"
     series = {
-        "join_in_memory": measure(db, join_query, "streaming", strategy="hash"),
-        "join_spilled": measure(db, join_query, "streaming", strategy="hash",
-                                budget=budget),
+        "join_in_memory": measure(db, join_query, strategy="hash"),
+        "join_spilled": measure(db, join_query, strategy="hash", budget=budget),
     }
     join_events = db.engine.last_spill.events("hash_join")
-    series["groupby_in_memory"] = measure(db, group_query, "streaming")
-    series["groupby_spilled"] = measure(db, group_query, "streaming",
-                                        budget=budget)
+    series["groupby_in_memory"] = measure(db, group_query)
+    series["groupby_spilled"] = measure(db, group_query, budget=budget)
     group_events = db.engine.last_spill.events("group_by")
     series["budget_rows"] = budget
     series["join_partitions"] = join_events[0]["partitions"] if join_events else 0
@@ -251,24 +217,18 @@ def run_spill_breakers(rows: int, label: str) -> dict:
 # ---------------------------------------------------------------------------
 def test_streaming_scan_smoke():
     series = run_scan_filter_limit(5_000, "smoke")
-    # Streaming must not pay the O(n) materialization for a LIMIT 10.
-    assert series["streaming"]["peak_bytes"] < series["materialized"]["peak_bytes"] / 2
+    # A LIMIT 10 must not pay the un-LIMITed query's O(n) result.
+    assert series["streaming"]["peak_bytes"] \
+        < series["streaming_no_limit"]["peak_bytes"] / 2
     write_bench_results("streaming", {"scan_filter_limit_5k": series})
 
 
 def test_streaming_join_smoke():
     series = run_three_way_join(200, "smoke")
-    # An early-stopping LIMIT over the index path beats full materialization.
+    # An early-stopping LIMIT over the index path beats the full join.
     assert series["streaming_index_nl_limit20"]["peak_bytes"] \
-        < series["materialized_hash_limit20"]["peak_bytes"]
+        < series["streaming_index_nl"]["peak_bytes"]
     write_bench_results("streaming", {"three_way_join_200": series})
-
-
-def test_batched_vs_row_smoke():
-    series = run_batched_vs_row(10_000, "smoke")
-    # Loose bound at smoke size (CI noise); the --runslow run asserts >= 3x.
-    assert series["speedup_vs_row"] >= 1.5
-    write_bench_results("streaming", {"batched_vs_row_10k": series})
 
 
 def test_range_scan_smoke():
@@ -293,8 +253,9 @@ def test_spill_breakers_smoke():
 @pytest.mark.slow
 def test_streaming_scan_full():
     series = run_scan_filter_limit(100_000, "full")
-    assert series["streaming"]["peak_bytes"] < series["materialized"]["peak_bytes"] / 20
-    assert series["streaming"]["seconds"] < series["materialized"]["seconds"]
+    assert series["streaming"]["peak_bytes"] \
+        < series["streaming_no_limit"]["peak_bytes"] / 20
+    assert series["streaming"]["seconds"] < series["streaming_no_limit"]["seconds"]
     write_bench_results("streaming", {"scan_filter_limit_100k": series})
 
 
@@ -302,17 +263,8 @@ def test_streaming_scan_full():
 def test_streaming_join_full():
     series = run_three_way_join(2_000, "full")
     assert series["streaming_index_nl_limit20"]["peak_bytes"] \
-        < series["materialized_hash_limit20"]["peak_bytes"] / 5
+        < series["streaming_index_nl"]["peak_bytes"] / 5
     write_bench_results("streaming", {"three_way_join_2k": series})
-
-
-@pytest.mark.slow
-def test_batched_vs_row_full():
-    """The PR-3 acceptance number: >= 3x throughput on the full-scan filter
-    pipeline (100k rows, no LIMIT) for batched vs. row-at-a-time streaming."""
-    series = run_batched_vs_row(100_000, "full")
-    assert series["speedup_vs_row"] >= 3.0
-    write_bench_results("streaming", {"batched_vs_row_100k": series})
 
 
 @pytest.mark.slow

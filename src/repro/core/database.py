@@ -59,9 +59,8 @@ class Database:
         Storage engine knobs: page size in bytes and buffer-pool capacity in
         pages.
     config:
-        Engine behaviour switches (see :class:`EngineConfig`): execution
-        mode (batched ``"streaming"`` / ``"row"`` / ``"materialized"``),
-        join strategy, index usage, batch size.
+        Engine behaviour switches (see :class:`EngineConfig`): join
+        strategy, index usage, batch size, memory budget.
     batch_size:
         Convenience override for ``config.batch_size`` (rows per batch of
         the vectorized executor); validated eagerly.

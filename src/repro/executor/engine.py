@@ -87,26 +87,21 @@ from repro.types.datatypes import (
 )
 
 
-#: Valid values of ``EngineConfig.execution_mode``: "streaming" is the
-#: batched (vectorized) pipeline, "row" the row-at-a-time Volcano pipeline,
-#: and "materialized" drains every operator output into a list (the memory
-#: and differential baseline).
-EXECUTION_MODES = ("streaming", "row", "materialized")
-
 #: Valid values of ``EngineConfig.synchronous``: "full" fsyncs the WAL before
 #: a commit is acknowledged (and the data file at sync points); "off" leaves
 #: durability to the OS page cache (fast, loses recent commits on power loss).
 SYNCHRONOUS_MODES = ("full", "off")
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineConfig:
     """Behavioural switches of the engine.
 
     The mode/strategy/batch knobs are validated eagerly at construction and
     re-validated at the start of every query (they are plain mutable fields),
     so a typo fails with a clear error instead of surfacing halfway through
-    an operator pipeline.
+    an operator pipeline.  The class has slots, so assigning a misspelt or
+    removed field name raises ``AttributeError``.
     """
 
     #: Attach system "outdated" annotations to scans of tables that have
@@ -123,13 +118,6 @@ class EngineConfig:
     #: where applicable; "nested_loop" reproduces the naive cross-product
     #: pipeline and is the differential baseline.
     join_strategy: str = "auto"
-    #: Operator pipeline mode: "streaming" (batched vectorized iterators —
-    #: the default), "row" (row-at-a-time iterators, the pre-batching
-    #: pipeline kept as the streaming baseline), or "materialized" (every
-    #: operator output drained into a list — the memory-profile baseline for
-    #: benchmarks and differential tests).  LIMIT short-circuits the scan in
-    #: both streaming modes.
-    execution_mode: str = "streaming"
     #: Let the planner pick index access paths (index point scans, B-tree
     #: range scans, and index-nested-loop joins) from the registered
     #: secondary indexes.
@@ -174,10 +162,6 @@ class EngineConfig:
 
     def validate(self) -> None:
         """Reject unknown modes/strategies and bad batch sizes eagerly."""
-        if self.execution_mode not in EXECUTION_MODES:
-            raise PlanningError(
-                f"unknown execution mode {self.execution_mode!r}; "
-                f"expected one of {EXECUTION_MODES}")
         if self.join_strategy not in planlib.JOIN_STRATEGIES:
             raise PlanningError(
                 f"unknown join strategy {self.join_strategy!r}; "
@@ -565,20 +549,10 @@ class Engine:
                             directory=self.config.spill_directory)
 
     def _stage(self, relation: ops.Relation) -> ops.Relation:
-        """Adapt one pipeline stage's output to the configured execution mode.
-
-        ``materialized`` drains the stage into a list; ``streaming`` (the
-        batched mode) re-chunks row-producing stages into batches so that
-        pipeline breakers *produce* batches at their boundary and downstream
-        vectorized operators stay on the batch path; ``row`` passes the lazy
-        row iterator through untouched.
-        """
-        mode = self.config.execution_mode
-        if mode == "materialized":
-            return ops.materialize(relation)
-        if mode == "streaming":
-            return ops.ensure_batched(relation, self.config.batch_size)
-        return relation
+        """Re-chunk a row-producing stage's output into batches, so pipeline
+        breakers *produce* batches at their boundary and downstream
+        vectorized operators stay on the batch path."""
+        return ops.ensure_batched(relation, self.config.batch_size)
 
     def _evaluate_query(self, node: Any, user: str) -> ops.Relation:
         if isinstance(node, ast.SetOperation):
@@ -824,10 +798,7 @@ class Engine:
         """Execute one scan leaf along its planned access path."""
         if isinstance(node, planlib.ForeignScanPlan):
             return self._foreign_scan(ref, node, scan_cap)
-        relation = self._leaf_relation(
-            self._row_source(ref), node,
-            batched=self.config.execution_mode == "streaming",
-            scan_cap=scan_cap)
+        relation = self._leaf_relation(self._row_source(ref), node, scan_cap)
         # The full pushed-conjunct list is applied even on an index access
         # path: the index only pins the key columns (and a range scan may be
         # wider than the predicate), everything else filters on top.
@@ -837,7 +808,7 @@ class Engine:
         return self._stage(relation)
 
     def _leaf_relation(self, source: ops.TableRowSource,
-                       node: planlib.ScanPlan, batched: bool,
+                       node: planlib.ScanPlan,
                        scan_cap: Optional[int] = None) -> ops.Relation:
         """Rows of one base-table scan leaf along its planned access path,
         before any filter: SELECT scans and DML target selection share it."""
@@ -853,12 +824,10 @@ class Engine:
             return ops.index_range_scan(
                 source, index.structure, node.range_low, node.range_high,
                 node.range_include_low, node.range_include_high,
-                batch_size=self.config.batch_size if batched else None,
+                batch_size=self.config.batch_size,
                 order_position=order_position,
                 descending=node.descending)
-        if batched:
-            return source.batched_relation(self.config.batch_size, scan_cap)
-        return source.relation()
+        return source.batched_relation(self.config.batch_size, scan_cap)
 
     def _foreign_scan(self, ref: ast.TableRef, node: planlib.ForeignScanPlan,
                       scan_cap: Optional[int] = None) -> ops.Relation:
@@ -1483,8 +1452,7 @@ class Engine:
         keep = (Evaluator(source.schema).compile(where)
                 if where is not None else None)
         plan, _ = self._plan_dml_target(ref, where)
-        _, rows = ops.materialize(self._leaf_relation(source, plan,
-                                                      batched=True))
+        _, rows = ops.materialize(self._leaf_relation(source, plan))
         matches = [(row.values[0], row) for row in rows
                    if keep is None or predicate_is_true(keep(row))]
         matches.sort(key=itemgetter(0))

@@ -145,9 +145,6 @@ class TableRowSource:
         for tuple_id, values in self.table.scan():
             yield self.make_row(tuple_id, values)
 
-    def relation(self) -> Relation:
-        return self.schema, self.iter_rows()
-
     # -- batched access -------------------------------------------------
     def attaches_annotations(self) -> bool:
         """True when scans must build per-cell annotation vectors."""
@@ -254,7 +251,7 @@ def index_scan(source: TableRowSource, index: Any, key: Any) -> Relation:
 def index_range_scan(source: TableRowSource, index: Any,
                      low: Any = None, high: Any = None,
                      include_low: bool = True, include_high: bool = True,
-                     batch_size: Optional[int] = None,
+                     *, batch_size: int,
                      order_position: Optional[int] = None,
                      descending: bool = False) -> Relation:
     """B-tree range scan: fetch tuples whose key falls inside [low, high].
@@ -269,9 +266,9 @@ def index_range_scan(source: TableRowSource, index: Any,
     degrades to a full sequential scan before yielding anything, and the
     pushed predicate decides; ``order_position`` — the key column's position,
     supplied when the engine elided a sort against this scan — makes that
-    fallback re-sort, so the ordering contract survives degradation.  With
-    ``batch_size`` the fetched rows are chunked into a :class:`RowBatch`
-    stream for the vectorized pipeline.
+    fallback re-sort, so the ordering contract survives degradation.  The
+    fetched rows are chunked into a :class:`RowBatch` stream of up to
+    ``batch_size`` rows for the vectorized pipeline.
     """
     def fallback_rows() -> Iterator[Row]:
         if order_position is None:
@@ -308,8 +305,6 @@ def index_range_scan(source: TableRowSource, index: Any,
             if row is not None:
                 yield row
 
-    if batch_size is None:
-        return source.schema, fetched()
     return source.schema, BatchedRows(rebatch(fetched(), batch_size))
 
 
@@ -747,28 +742,6 @@ class _HashJoin:
             if batch is not None:
                 yield batch
 
-    def probe_rows(self, table: Dict, left_rows: Iterable[Row]) -> Iterator[Row]:
-        """Row-at-a-time probe, preserving the row pipeline's laziness."""
-        residual = self.residual
-        left_join = self.join_type == "LEFT"
-        for row in left_rows:
-            values = row.values
-            lann = row._annotations
-            key = self._key_of(self.probe_keys, values)
-            matched = False
-            if key is not None:
-                for rvalues, ranns in table.get(key, ()):
-                    combined = values + rvalues
-                    if residual is not None \
-                            and not predicate_is_true(residual(combined)):
-                        continue
-                    yield Row(combined, concat_annotation_vectors(
-                        lann, ranns, self.left_arity, self.right_arity))
-                    matched = True
-            if left_join and not matched:
-                yield Row(values + self._pad, concat_annotation_vectors(
-                    lann, None, self.left_arity, self.right_arity))
-
     # -- spilled (Grace) path --------------------------------------------
     def _probe_resident(self, key: Tuple[Any, ...], values, anns,
                         out_values: List, out_anns: List) -> None:
@@ -799,7 +772,7 @@ class _HashJoin:
             None if (index == 0 and hybrid) else self.spill.new_file()
             for index in range(fanout)]
         left_join = self.join_type == "LEFT"
-        resident_probe_rows = 0
+        resident_probed_rows = 0
         for values_list, anns_list in _as_entry_batches(left_rows):
             out_values: List[Tuple[Any, ...]] = []
             out_anns: List[Optional[List[Set[Any]]]] = []
@@ -820,16 +793,16 @@ class _HashJoin:
                     # Hybrid: partition 0's build side never left memory,
                     # so its probe rows join right here — no disk round
                     # trip for either side of this partition.
-                    resident_probe_rows += 1
+                    resident_probed_rows += 1
                     self._probe_resident(key, values, anns,
                                          out_values, out_anns)
                     continue
                 probe_files[bucket].append(values, anns)
             if out_values:
                 yield batch_from_entries(out_values, out_anns, self.arity)
-        self.event["probe_rows"] = resident_probe_rows + sum(
+        self.event["probed_rows"] = resident_probed_rows + sum(
             f.rows_written for f in probe_files if f is not None)
-        self.event["resident_probe_rows"] = resident_probe_rows
+        self.event["resident_probed_rows"] = resident_probed_rows
         self.resident = None
         yield from self._join_partitions(build_files, probe_files)
 
@@ -900,9 +873,8 @@ def hash_join(left: Relation, right: Relation,
 
     The build side is the pipeline breaker; the probe (left) side streams.
     Both sides are *batch-aware*: a batched build input inserts whole batches
-    into the hash table and a batched probe input emits matched
-    :class:`RowBatch` es directly (row inputs keep the row-at-a-time path, so
-    the "row" pipeline's laziness contract is unchanged).  Annotation
+    into the hash table, and the probe side emits matched :class:`RowBatch`
+    es (a row input is chunked into batches first).  Annotation
     propagation is identical to the nested loop: the output row concatenates
     the input rows together with their per-column annotation sets.  NULL keys
     never match (SQL semantics); ``condition`` is an extra predicate
@@ -931,17 +903,7 @@ def hash_join(left: Relation, right: Relation,
         else:
             yield from joiner.grace_batches(files, left_rows)
 
-    def out_rows() -> Iterator[Row]:
-        table, files = joiner.build(right_rows)
-        if files is None:
-            yield from joiner.probe_rows(table, left_rows)
-        else:
-            for batch in joiner.grace_batches(files, left_rows):
-                yield from batch.to_rows()
-
-    if isinstance(left_rows, BatchedRows):
-        return schema, BatchedRows(out_batches())
-    return schema, out_rows()
+    return schema, BatchedRows(out_batches())
 
 
 class _SpillableRowBuffer:
@@ -1674,6 +1636,12 @@ def _distinct_key(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
     return tuple(_hash_key(value) for value in values)
 
 
+def _partition(values: Tuple[Any, ...], fanout: int) -> int:
+    """Spill partition of a value tuple, consistent with :func:`_distinct_key`
+    (``hash(nan)`` is per-object, so NaNs must hash through the key)."""
+    return hash(_distinct_key(values)) % fanout
+
+
 def distinct(relation: Relation,
              spill: Optional[SpillManager] = None,
              input_rows_hint: Optional[float] = None) -> Relation:
@@ -1889,43 +1857,37 @@ def order_by(relation: Relation, order_items: Sequence[ast.OrderItem],
 
 def limit_offset(relation: Relation, limit: Optional[int],
                  offset: Optional[int]) -> Relation:
-    """LIMIT/OFFSET with short-circuiting: stops pulling once satisfied."""
+    """LIMIT/OFFSET with short-circuiting: stops pulling once satisfied.
+
+    The input must flow batched (every engine stage does, through
+    :func:`ensure_batched`)."""
     schema, rows = relation
     start = offset or 0
 
-    if isinstance(rows, BatchedRows):
-        def output_batches() -> Iterator[RowBatch]:
-            if limit is not None and limit <= 0:
-                return
-            to_skip = start
-            remaining = limit
-            for batch in rows.batches:
-                values, annotations = batch.values, batch.annotations
-                if to_skip:
-                    if to_skip >= len(values):
-                        to_skip -= len(values)
-                        continue
-                    values = values[to_skip:]
-                    annotations = annotations[to_skip:] if annotations else None
-                    to_skip = 0
-                if remaining is not None and len(values) > remaining:
-                    values = values[:remaining]
-                    annotations = annotations[:remaining] if annotations else None
-                if values:
-                    yield RowBatch(values, annotations)
-                    if remaining is not None:
-                        remaining -= len(values)
-                        if remaining <= 0:
-                            return
-        return schema, BatchedRows(output_batches())
-
-    def output_rows() -> Iterator[Row]:
+    def output_batches() -> Iterator[RowBatch]:
         if limit is not None and limit <= 0:
             return
-        iterator = iter(rows)
-        stop = None if limit is None else start + limit
-        yield from islice(iterator, start, stop)
-    return schema, output_rows()
+        to_skip = start
+        remaining = limit
+        for batch in rows.batches:
+            values, annotations = batch.values, batch.annotations
+            if to_skip:
+                if to_skip >= len(values):
+                    to_skip -= len(values)
+                    continue
+                values = values[to_skip:]
+                annotations = annotations[to_skip:] if annotations else None
+                to_skip = 0
+            if remaining is not None and len(values) > remaining:
+                values = values[:remaining]
+                annotations = annotations[:remaining] if annotations else None
+            if values:
+                yield RowBatch(values, annotations)
+                if remaining is not None:
+                    remaining -= len(values)
+                    if remaining <= 0:
+                        return
+    return schema, BatchedRows(output_batches())
 
 
 # ---------------------------------------------------------------------------
@@ -1998,21 +1960,21 @@ def intersect(left: Relation, right: Relation,
                     merged[position] |= source[position]
         return Row(values, merged)
 
-    def spilled_intersect(right_union: Dict[Tuple[Any, ...], Any],
+    def spilled_intersect(right_union: Dict[Tuple[Any, ...], List[Any]],
                           right_rest: Iterator[Row],
                           left_iter: Iterator[Row]) -> Iterator[Row]:
         fanout = spill.partition_count(input_rows_hint)
         event = spill.stats.record("intersect", partitions=fanout)
         right_files = [spill.new_file() for _ in range(fanout)]
-        for values, union in right_union.items():
-            right_files[hash(values) % fanout].append(values, union)
+        for key, (values, union) in right_union.items():
+            right_files[hash(key) % fanout].append(values, union)
         for row in right_rest:
-            right_files[hash(row.values) % fanout].append(row.values,
-                                                          row._annotations)
+            right_files[_partition(row.values, fanout)].append(
+                row.values, row._annotations)
         left_files = [spill.new_file() for _ in range(fanout)]
         sequence = 0
         for row in left_iter:
-            left_files[hash(row.values) % fanout].append(
+            left_files[_partition(row.values, fanout)].append(
                 (sequence,) + row.values, row._annotations)
             sequence += 1
         event["spilled_rows"] = sum(f.rows_written for f in right_files) \
@@ -2022,26 +1984,23 @@ def intersect(left: Relation, right: Relation,
                                 left_file: SpillFile) -> SpillFile:
             rmap: Dict[Tuple[Any, ...], Any] = {}
             for values, anns in right_file.entries():
-                if values not in rmap:
-                    rmap[values] = None
-                rmap[values] = _ann_union(rmap[values], anns, arity)
+                key = _distinct_key(values)
+                rmap[key] = _ann_union(rmap.get(key), anns, arity)
             right_file.close()
+            # key -> [first left sequence number, first values, union]
             groups: Dict[Tuple[Any, ...], List[Any]] = {}
-            ordered: List[Tuple[Any, ...]] = []
             for tagged, anns in left_file.entries():
-                sequence_no, values = tagged[0], tagged[1:]
-                entry = groups.get(values)
+                key = _distinct_key(tagged[1:])
+                entry = groups.get(key)
                 if entry is None:
-                    if values not in rmap:
+                    if key not in rmap:
                         continue
-                    groups[values] = entry = [sequence_no, None]
-                    ordered.append(values)
-                entry[1] = _ann_union(entry[1], anns, arity)
+                    groups[key] = entry = [tagged[0], tagged[1:], None]
+                entry[2] = _ann_union(entry[2], anns, arity)
             left_file.close()
             out = spill.new_file()
-            for values in ordered:
-                sequence_no, left_union = groups[values]
-                merged = emit(values, left_union, rmap[values])
+            for key, (sequence_no, values, left_union) in groups.items():
+                merged = emit(values, left_union, rmap[key])
                 out.append((sequence_no,) + values, merged.annotations)
             return out
 
@@ -2066,33 +2025,32 @@ def intersect(left: Relation, right: Relation,
 
     def output_rows() -> Iterator[Row]:
         budget = spill.budget_rows if spill is not None else None
-        right_union: Dict[Tuple[Any, ...], Any] = {}
+        # Both sides map a distinct key to [first values, annotation union].
+        right_union: Dict[Tuple[Any, ...], List[Any]] = {}
         right_count = 0
         right_iter = iter(right[1])
         for row in right_iter:
-            values = row.values
-            if values not in right_union:
-                right_union[values] = None
-            right_union[values] = _ann_union(right_union[values],
-                                             row._annotations, arity)
+            key = _distinct_key(row.values)
+            entry = right_union.get(key)
+            if entry is None:
+                right_union[key] = entry = [row.values, None]
+            entry[1] = _ann_union(entry[1], row._annotations, arity)
             right_count += 1
             if budget is not None and right_count > budget:
                 yield from spilled_intersect(right_union, right_iter,
                                              iter(left[1]))
                 return
-        left_state: Dict[Tuple[Any, ...], Any] = {}
-        order: List[Tuple[Any, ...]] = []
+        left_state: Dict[Tuple[Any, ...], List[Any]] = {}
         for row in left[1]:
-            values = row.values
-            if values not in right_union:
+            key = _distinct_key(row.values)
+            if key not in right_union:
                 continue
-            if values not in left_state:
-                left_state[values] = None
-                order.append(values)
-            left_state[values] = _ann_union(left_state[values],
-                                            row._annotations, arity)
-        for values in order:
-            yield emit(values, left_state[values], right_union[values])
+            entry = left_state.get(key)
+            if entry is None:
+                left_state[key] = entry = [row.values, None]
+            entry[1] = _ann_union(entry[1], row._annotations, arity)
+        for key, (values, left_union) in left_state.items():
+            yield emit(values, left_union, right_union[key][1])
     return schema, output_rows()
 
 
@@ -2109,20 +2067,21 @@ def except_(left: Relation, right: Relation,
     _check_arity(left, right, "EXCEPT")
     schema = left[0]
 
-    def spilled_except(right_values: Set[Tuple[Any, ...]],
+    def spilled_except(right_values: Dict[Tuple[Any, ...], Tuple[Any, ...]],
                        right_rest: Iterator[Row],
                        left_iter: Iterator[Row]) -> Iterator[Row]:
         fanout = spill.partition_count(input_rows_hint)
         event = spill.stats.record("except", partitions=fanout)
         right_files = [spill.new_file() for _ in range(fanout)]
-        for values in right_values:
-            right_files[hash(values) % fanout].append(values, None)
+        for key, values in right_values.items():
+            right_files[hash(key) % fanout].append(values, None)
         for row in right_rest:
-            right_files[hash(row.values) % fanout].append(row.values, None)
+            right_files[_partition(row.values, fanout)].append(row.values,
+                                                               None)
         left_files = [spill.new_file() for _ in range(fanout)]
         sequence = 0
         for row in left_iter:
-            left_files[hash(row.values) % fanout].append(
+            left_files[_partition(row.values, fanout)].append(
                 (sequence,) + row.values, row._annotations)
             sequence += 1
         event["spilled_rows"] = sum(f.rows_written for f in right_files) \
@@ -2130,11 +2089,12 @@ def except_(left: Relation, right: Relation,
 
         def except_partition(right_file: SpillFile,
                              left_file: SpillFile) -> SpillFile:
-            excluded = {values for values, _ in right_file.entries()}
+            excluded = {_distinct_key(values)
+                        for values, _ in right_file.entries()}
             right_file.close()
             out = spill.new_file()
             for tagged, anns in left_file.entries():
-                if tagged[1:] not in excluded:
+                if _distinct_key(tagged[1:]) not in excluded:
                     out.append(tagged, anns)
             left_file.close()
             return out
@@ -2159,17 +2119,18 @@ def except_(left: Relation, right: Relation,
 
     def kept() -> Iterator[Row]:
         budget = spill.budget_rows if spill is not None else None
-        right_values: Set[Tuple[Any, ...]] = set()
+        # distinct key -> first values (the values a spill writes out)
+        right_values: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         right_count = 0
         right_iter = iter(right[1])
         for row in right_iter:
-            right_values.add(row.values)
+            right_values.setdefault(_distinct_key(row.values), row.values)
             right_count += 1
             if budget is not None and right_count > budget:
                 yield from spilled_except(right_values, right_iter,
                                           iter(left[1]))
                 return
         for row in left[1]:
-            if row.values not in right_values:
+            if _distinct_key(row.values) not in right_values:
                 yield row
     return distinct((schema, kept()), spill, input_rows_hint)

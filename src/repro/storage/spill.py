@@ -64,7 +64,7 @@ class SpillStats:
     file, including recursive re-partition passes and merge/dedup rewrites
     — so a row that takes two disk passes counts twice.  For the number of
     input rows an operator pushed out of memory, read its event (e.g.
-    ``build_rows``/``probe_rows``/``spilled_rows``).
+    ``build_rows``/``probed_rows``/``spilled_rows``).
 
     Not thread-safe: a stats object belongs to one query, which runs on one
     thread (it is shared only by that query's spill managers).

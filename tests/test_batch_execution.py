@@ -8,8 +8,8 @@ Covers the PR-3 features end to end:
 * ``BatchFilter`` — the code-generated, conjunct-fused predicate compiler —
   checked differentially against the row-at-a-time evaluator over a
   mixed-type value domain (NULL, NaN, bool, cross-type);
-* eager ``EngineConfig`` validation (execution mode, join strategy,
-  batch size);
+* eager ``EngineConfig`` validation (join strategy, batch size, unknown
+  field names);
 * B-tree ``range_search`` / ``iter_range`` bound combinations and the
   planner's ``IndexRangeScan`` selection with its NULL/NaN safety gates;
 * sort elision — ``ORDER BY`` on an index key order runs without a Sort
@@ -106,9 +106,15 @@ def test_batch_filter_fused_projection_agrees():
 # EngineConfig validation
 # ---------------------------------------------------------------------------
 class TestConfigValidation:
-    def test_bad_execution_mode_rejected_at_construction(self):
-        with pytest.raises(PlanningError, match="execution mode"):
-            EngineConfig(execution_mode="turbo")
+    def test_unknown_field_names_are_rejected(self):
+        # A misspelt or removed knob must fail, never be silently ignored.
+        with pytest.raises(TypeError):
+            EngineConfig(batchsize=1)
+        config = EngineConfig()
+        for name in ("batchsize", "join_stategy", "memory_budget"):
+            with pytest.raises(AttributeError):
+                setattr(config, name, 1)
+        assert config == EngineConfig()
 
     def test_bad_join_strategy_rejected_at_construction(self):
         with pytest.raises(PlanningError, match="join strategy"):
@@ -122,8 +128,7 @@ class TestConfigValidation:
     def test_mutated_config_rejected_eagerly_at_query_time(self):
         db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
-        for field, value in [("execution_mode", "turbo"),
-                             ("join_strategy", "quantum"),
+        for field, value in [("join_strategy", "quantum"),
                              ("batch_size", 0)]:
             fresh = Database()
             fresh.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
@@ -282,12 +287,14 @@ class TestIndexRangeScan:
         structure = db.indexes.get("ix_m_v").structure
         position = source.schema.resolve("v")
         schema, rows = ops.index_range_scan(
-            source, structure, low=object(), order_position=position)
+            source, structure, low=object(), batch_size=4,
+            order_position=position)
         values = [row.values[position] for row in rows]
         assert len(values) == 30
         assert values == sorted(values)
         # Without an order contract the fallback is a plain heap-order scan.
-        _, rows = ops.index_range_scan(source, structure, low=object())
+        _, rows = ops.index_range_scan(source, structure, low=object(),
+                                       batch_size=4)
         assert len(list(rows)) == 30
 
     def test_range_scan_after_dml_sees_fresh_rows(self):
@@ -313,14 +320,12 @@ class TestSortElision:
         rows = db.query("SELECT id, v FROM m WHERE v > 10 ORDER BY v").values()
         assert db.engine.last_sort_elided
         assert rows == sorted(rows, key=lambda row: row[1])
-        # Differential: identical to the row-mode explicit sort.
-        db.config.execution_mode = "row"
+        # Differential: identical to the explicit sort over a sequential scan.
         db.config.use_indexes = False
         try:
             baseline = db.query("SELECT id, v FROM m WHERE v > 10 ORDER BY v").values()
             assert not db.engine.last_sort_elided
         finally:
-            db.config.execution_mode = "streaming"
             db.config.use_indexes = True
         assert rows == baseline
 
@@ -370,12 +375,10 @@ class TestSortElision:
         scores = [row[1] for row in rows]
         assert scores == sorted(scores)
         db.config.join_strategy = "nested_loop"
-        db.config.execution_mode = "materialized"
         try:
             baseline = db.query(query).values()
         finally:
             db.config.join_strategy = "auto"
-            db.config.execution_mode = "streaming"
         assert sorted(rows) == sorted(baseline)
 
     def test_unselective_order_on_big_table_keeps_the_sort(self):
@@ -416,18 +419,20 @@ class TestSortElision:
 
 
 # ---------------------------------------------------------------------------
-# Batched pipeline behaviour (modes, laziness, annotations)
+# Batched pipeline behaviour (laziness, annotations)
 # ---------------------------------------------------------------------------
 class TestBatchedPipeline:
-    def test_all_modes_agree_on_scan_filter_project(self):
+    def test_scan_filter_project_limit_matches_table_scan(self):
         db = range_db(200)
         query = "SELECT id, tag FROM m WHERE v > 30 AND tag <> 't3' LIMIT 50"
-        results = {}
-        for mode in ("streaming", "row", "materialized"):
-            db.config.execution_mode = mode
-            results[mode] = sorted(db.query(query).values())
-        db.config.execution_mode = "streaming"
-        assert results["streaming"] == results["row"] == results["materialized"]
+        names = db.table("m").schema.column_names
+        expected = []
+        for _, values in db.table("m").scan():
+            row = dict(zip(names, values))
+            if row["v"] > 30 and row["tag"] != "t3":
+                expected.append((row["id"], row["tag"]))
+        assert len(expected) > 50
+        assert db.query(query).values() == expected[:50]
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 1024])
     def test_batch_size_does_not_change_results(self, batch_size):
@@ -491,8 +496,7 @@ class TestBatchedPipeline:
         query = ("SELECT gid, score FROM gene ANNOTATION(note) "
                  "WHERE score > 20 AND gid <> 'G29'")
 
-        def canonical(mode, batch_size=1024):
-            db.config.execution_mode = mode
+        def canonical(batch_size):
             db.config.batch_size = batch_size
             try:
                 result = db.query(query)
@@ -502,18 +506,15 @@ class TestBatchedPipeline:
                            for anns in row.annotations))
                     for row in result.rows)
             finally:
-                db.config.execution_mode = "streaming"
                 db.config.batch_size = 1024
 
-        baseline = canonical("materialized")
-        assert canonical("row") == baseline
-        for batch_size in (1, 2, 1024):
-            assert canonical("streaming", batch_size) == baseline
         # The gid column carries 'high scorer'; the projected score column
-        # carries nothing (annotation granularity is per cell).
-        values, annotations = baseline[0]
-        assert annotations[0] == ("high scorer",)
-        assert annotations[1] == ()
+        # carries nothing (annotation granularity is per cell), whatever the
+        # batch size.
+        expected = [((f"G{i}", i * 1.0), (("high scorer",), ()))
+                    for i in range(21, 29)]
+        for batch_size in (1, 2, 1024):
+            assert canonical(batch_size) == expected
 
     def test_annotations_propagate_through_range_scan(self):
         db = Database()

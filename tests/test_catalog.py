@@ -10,7 +10,6 @@ from repro import EngineConfig
 from repro.catalog.catalog import SystemCatalog
 from repro.catalog.schema import Column, TableSchema
 from repro.core.errors import CatalogError, ConstraintViolationError, TypeMismatchError
-from repro.executor.engine import EXECUTION_MODES
 from repro.index.manager import IndexManager
 from repro.types.datatypes import DataType
 
@@ -229,6 +228,10 @@ def fetch_all(cur, sql):
     return [tuple(row.values) for row in cur.fetchall()]
 
 
+#: Degenerate one-row batches, a size that splits pages unevenly, the default.
+SQL_BATCH_SIZES = (1, 7, 1024)
+
+
 class TestScanBatches:
     @settings(max_examples=40, deadline=None)
     @given(in_place=dml_steps(max_body=100, max_size=10),
@@ -280,9 +283,9 @@ class TestScanBatches:
                 for _ in table.scan_batches(with_tuple_ids):
                     assert len(table.pool._frames) <= table.pool.capacity
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_rescans_match_table_scan_warm_and_cold(self, mode):
-        config = EngineConfig(execution_mode=mode)
+    @pytest.mark.parametrize("batch_size", SQL_BATCH_SIZES)
+    def test_rescans_match_table_scan_warm_and_cold(self, batch_size):
+        config = EngineConfig(batch_size=batch_size)
         with repro.connect(pool_size=8, config=config) as conn:
             cur = conn.cursor()
             cur.execute("CREATE TABLE t (id INTEGER, v FLOAT, s TEXT)")
@@ -300,9 +303,9 @@ class TestScanBatches:
             catalog.pool.clear()
             assert fetch_all(cur, query) == expected
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_batched_scans_reflect_insert_update_delete(self, mode):
-        with repro.connect(config=EngineConfig(execution_mode=mode)) as conn:
+    @pytest.mark.parametrize("batch_size", SQL_BATCH_SIZES)
+    def test_batched_scans_reflect_insert_update_delete(self, batch_size):
+        with repro.connect(config=EngineConfig(batch_size=batch_size)) as conn:
             cur = conn.cursor()
             cur.execute("CREATE TABLE t (id INTEGER, s TEXT)")
             cur.executemany("INSERT INTO t VALUES (?, ?)",
@@ -315,9 +318,9 @@ class TestScanBatches:
             cur.execute("UPDATE t SET s = 'renamed' WHERE id = 5000")
             assert fetch_all(cur, "SELECT s FROM t")[-1] == ("renamed",)
 
-    @pytest.mark.parametrize("mode", EXECUTION_MODES)
-    def test_drop_and_recreate_table_returns_only_new_rows(self, mode):
-        with repro.connect(config=EngineConfig(execution_mode=mode)) as conn:
+    @pytest.mark.parametrize("batch_size", SQL_BATCH_SIZES)
+    def test_drop_and_recreate_table_returns_only_new_rows(self, batch_size):
+        with repro.connect(config=EngineConfig(batch_size=batch_size)) as conn:
             cur = conn.cursor()
             cur.execute("CREATE TABLE t (id INTEGER, s TEXT)")
             cur.executemany("INSERT INTO t VALUES (?, ?)",

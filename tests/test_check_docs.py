@@ -1,7 +1,8 @@
 """``tools/check_docs.py``'s guards: docs/TUNING.md and ``EngineConfig``
 must name exactly the same knobs, so a half-finished knob deletion (or an
 undocumented new knob) fails the docs job; and the docs may name only the
-``engine.last_*`` surfaces ``Engine`` defines."""
+``engine.last_*`` surfaces ``Engine`` defines and only the ``EngineConfig``
+fields that exist."""
 
 from __future__ import annotations
 
@@ -48,6 +49,20 @@ def test_docs_name_only_defined_engine_surfaces():
     text = "Read `db.engine.last_spill`, then `db.engine.last_bogus`.\n"
     assert check_docs.check_surfaces("docs/X.md", text, surfaces) == [
         "docs/X.md: engine.last_bogus is not an Engine attribute"]
+
+
+def test_docs_name_only_existing_config_fields():
+    check_docs = load_check_docs()
+    fields = check_docs.config_fields()
+    assert "memory_budget_rows" in fields
+    for path in check_docs.surface_files():
+        with open(path, encoding="utf-8") as handle:
+            assert check_docs.check_config_names(path, handle.read(),
+                                                 fields) == []
+    text = ("Set `EngineConfig.memory_budget_rows` or "
+            "`db.config.join_strategy`, never `EngineConfig.bogus`.\n")
+    assert check_docs.check_config_names("docs/X.md", text, fields) == [
+        "docs/X.md: EngineConfig.bogus is not an EngineConfig field"]
 
 
 def test_surface_check_reads_current_docs_but_not_history():

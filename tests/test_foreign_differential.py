@@ -1,10 +1,11 @@
 """Differential tests for foreign tables: ForeignScan must compose with every
-join strategy, execution mode, and batch size.
+join strategy, result consumer and batch size.
 
 Attached CSV/JSONL/repro tables join against native tables (and each other);
-each query shape runs under every (strategy, mode, batch size) combination and
-must return the same row multiset — and, for the repro provider, the same
-propagated annotations — as the materialized nested-loop baseline.  A second
+each query shape runs under every strategy, consumer and batch size and
+must return
+the same row multiset — and, for the repro provider, the same propagated
+annotations — as the nested-loop baseline.  A second
 axis re-runs the matrix with provider pushdown disabled: the residual
 re-check in the ForeignScan operator must make results independent of how
 much filtering the provider actually performed.
@@ -17,10 +18,14 @@ import json
 import pytest
 
 from repro import Database
-from tests.test_join_differential import canonical, run_query
+from tests.test_join_differential import (
+    CONSUMERS,
+    canonical,
+    nested_loop_baseline,
+    run_query,
+)
 
 STRATEGIES = ("auto", "hash", "merge")
-MODES = ("streaming", "row", "materialized")
 BATCH_SIZES = (1, 1024)
 
 
@@ -107,18 +112,15 @@ def nopush_db(tmp_path_factory) -> Database:
                             pushdown=False)
 
 
-def materialized_baseline(db, query):
-    return canonical(run_query(db, query, "nested_loop", "materialized"))
-
-
 @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("consumer", CONSUMERS)
 def test_foreign_matrix_agrees_with_baseline(foreign_db, shape, strategy,
-                                             mode):
+                                             consumer):
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(foreign_db, query)
-    assert canonical(run_query(foreign_db, query, strategy, mode)) == baseline
+    baseline = nested_loop_baseline(foreign_db, query)
+    candidate = run_query(foreign_db, query, strategy, consumer=consumer)
+    assert canonical(candidate) == baseline
 
 
 @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
@@ -126,9 +128,8 @@ def test_foreign_matrix_agrees_with_baseline(foreign_db, shape, strategy,
 def test_foreign_matrix_invariant_under_batch_size(foreign_db, shape,
                                                    batch_size):
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(foreign_db, query)
-    candidate = canonical(run_query(foreign_db, query, "auto", "streaming",
-                                    batch_size))
+    baseline = nested_loop_baseline(foreign_db, query)
+    candidate = canonical(run_query(foreign_db, query, "auto", batch_size))
     assert candidate == baseline
 
 
@@ -139,9 +140,8 @@ def test_pushdown_off_matches_pushdown_on(foreign_db, nopush_db, shape,
     """Pushdown is advisory: with it disabled the engine-side residual
     re-check must produce the identical result set."""
     query = QUERY_SHAPES[shape]
-    expected = materialized_baseline(foreign_db, query)
-    assert canonical(run_query(nopush_db, query, strategy,
-                               "streaming")) == expected
+    expected = nested_loop_baseline(foreign_db, query)
+    assert canonical(run_query(nopush_db, query, strategy)) == expected
 
 
 def test_repro_annotations_match_native_source(tmp_path):

@@ -3,17 +3,17 @@
 The cost-based planner (hash / sort-merge / index-nested-loop joins, greedy
 reordering, residual pushdown into the join tree) and the streaming executor
 must be *observationally equivalent* to the naive pipeline (cross products +
-residual filter, ``join_strategy="nested_loop"`` with every operator output
-materialized) — same row multisets and the same propagated annotations per
-row.  Each query shape below runs under every (strategy, execution mode)
-combination — with and without covering secondary indexes — and is compared
-against the materialized nested-loop baseline.  A tracemalloc test proves
-that the streaming pipeline gives ``LIMIT`` O(limit), not O(n), peak memory.
+residual filter, ``join_strategy="nested_loop"``) — same row multisets and
+the same propagated annotations per row.  Each query shape below runs under
+every (strategy, consumer) combination — with and without covering
+secondary indexes — and is compared against the nested-loop baseline.  A tracemalloc test proves that
+the streaming pipeline gives ``LIMIT`` O(limit), not O(n), peak memory.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,12 +105,13 @@ QUERY_SHAPES = {
 STRATEGIES = ("auto", "hash", "merge")
 #: With covering indexes present, the index-nested-loop path joins the matrix.
 INDEXED_STRATEGIES = ("auto", "hash", "merge", "index_nested_loop")
-#: "streaming" is the batched (vectorized) pipeline, "row" the row-at-a-time
-#: pipeline, "materialized" the drained baseline.
-MODES = ("streaming", "row", "materialized")
 #: Batch sizes the vectorized pipeline must be invariant under: degenerate
 #: one-row batches, a tiny ramp, and the full default.
 BATCH_SIZES = (1, 2, 1024)
+#: The three ways a caller consumes the one pipeline: a drained result set
+#: (``Engine.execute_query``), a lazy stream pulled a few rows at a time
+#: (``Engine.stream_query``), and a DB-API cursor over the prepared-plan path.
+CONSUMERS = ("drained", "streamed", "cursor")
 
 
 def canonical(result):
@@ -125,23 +126,36 @@ def canonical(result):
     return sorted(rows, key=repr)
 
 
-def run_query(db: Database, query: str, strategy: str, mode: str,
-              batch_size: int = 1024):
-    """Run one query under a forced (strategy, mode, batch size) triple."""
+def consume(db: Database, query: str, consumer: str = "drained"):
+    """Run ``query`` and collect its rows through one of :data:`CONSUMERS`."""
+    if consumer == "drained":
+        return db.query(query)
+    if consumer == "streamed":
+        stream = db.stream(query)
+        rows = []
+        while chunk := stream.fetchmany(3):
+            rows.extend(chunk)
+        return SimpleNamespace(rows=rows)
+    assert consumer == "cursor", consumer
+    cursor = db.connect().cursor().execute(query)
+    return SimpleNamespace(rows=cursor.fetchall())
+
+
+def run_query(db: Database, query: str, strategy: str,
+              batch_size: int = 1024, consumer: str = "drained"):
+    """Run one query under a forced (strategy, batch size, consumer) triple."""
     db.config.join_strategy = strategy
-    db.config.execution_mode = mode
     db.config.batch_size = batch_size
     try:
-        return db.query(query)
+        return consume(db, query, consumer)
     finally:
         db.config.join_strategy = "auto"
-        db.config.execution_mode = "streaming"
         db.config.batch_size = 1024
 
 
-def materialized_baseline(db: Database, query: str):
-    """The differential reference: naive pipeline, every stage materialized."""
-    return canonical(run_query(db, query, "nested_loop", "materialized"))
+def nested_loop_baseline(db: Database, query: str):
+    """The differential reference: the naive cross-product pipeline."""
+    return canonical(run_query(db, query, "nested_loop"))
 
 
 @pytest.fixture(scope="module")
@@ -161,11 +175,12 @@ def indexed_db() -> Database:
 
 @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("mode", MODES)
-def test_strategy_agrees_with_nested_loop(diff_db, shape, strategy, mode):
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_strategy_agrees_with_nested_loop(diff_db, shape, strategy, consumer):
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(diff_db, query)
-    candidate = canonical(run_query(diff_db, query, strategy, mode))
+    baseline = nested_loop_baseline(diff_db, query)
+    candidate = canonical(run_query(diff_db, query, strategy,
+                                    consumer=consumer))
     assert candidate == baseline
 
 
@@ -178,23 +193,23 @@ def test_batched_execution_invariant_under_batch_size(diff_db, shape, strategy,
     at every batch size — one-row batches exercise the ramp edges, the full
     default the fused comprehension paths."""
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(diff_db, query)
-    candidate = canonical(run_query(diff_db, query, strategy, "streaming",
-                                    batch_size))
+    baseline = nested_loop_baseline(diff_db, query)
+    candidate = canonical(run_query(diff_db, query, strategy, batch_size))
     assert candidate == baseline
 
 
 @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
 @pytest.mark.parametrize("strategy", INDEXED_STRATEGIES)
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("consumer", CONSUMERS)
 def test_indexed_strategy_agrees_with_nested_loop(indexed_db, shape, strategy,
-                                                  mode):
+                                                  consumer):
     """With covering indexes the planner may pick index scans, range scans,
     and index-nested-loop joins; rows *and* annotations must still match the
-    materialized nested-loop baseline in every execution mode."""
+    nested-loop baseline however the result is consumed."""
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(indexed_db, query)
-    candidate = canonical(run_query(indexed_db, query, strategy, mode))
+    baseline = nested_loop_baseline(indexed_db, query)
+    candidate = canonical(run_query(indexed_db, query, strategy,
+                                    consumer=consumer))
     assert candidate == baseline
 
 
@@ -219,18 +234,17 @@ def test_indexed_auto_picks_range_scan_and_elides_sort(indexed_db):
     assert "[sort: elided]" in explained.message
     # The returned order matches the explicit sort of the naive pipeline.
     ordered = run_query(indexed_db, QUERY_SHAPES["range_between_order"],
-                        "auto", "streaming").values()
+                        "auto").values()
     baseline = run_query(indexed_db, QUERY_SHAPES["range_between_order"],
-                         "nested_loop", "materialized").values()
+                         "nested_loop").values()
     assert ordered == baseline
 
 
 def test_forced_index_join_on_left_join(indexed_db):
     """LEFT joins run through the index probe with correct NULL padding."""
     query = QUERY_SHAPES["explicit_left_join"]
-    baseline = materialized_baseline(indexed_db, query)
-    candidate = canonical(run_query(indexed_db, query, "index_nested_loop",
-                                    "streaming"))
+    baseline = nested_loop_baseline(indexed_db, query)
+    candidate = canonical(run_query(indexed_db, query, "index_nested_loop"))
     assert candidate == baseline
     indexed_db.config.join_strategy = "index_nested_loop"
     try:
@@ -251,9 +265,9 @@ def test_indexed_differential_with_dml_between_runs():
     db.execute("UPDATE protein SET gid = 'G2' WHERE pid = 99")
     db.execute("UPDATE protein SET gid = NULL WHERE pid = 3")
     query = QUERY_SHAPES["equi_join"]
-    baseline = materialized_baseline(db, query)
+    baseline = nested_loop_baseline(db, query)
     for strategy in INDEXED_STRATEGIES:
-        assert canonical(run_query(db, query, strategy, "streaming")) == baseline
+        assert canonical(run_query(db, query, strategy)) == baseline
 
 
 @pytest.fixture(scope="module")
@@ -268,60 +282,32 @@ def wide_db() -> Database:
 
 
 def test_limit_over_large_scan_peaks_at_o_limit_memory(wide_db):
-    """SELECT ... LIMIT 10 over 100k rows must stop the scan early: the
-    streaming pipeline's peak allocation is orders of magnitude below the
-    materialized pipeline's, and small in absolute terms (O(limit) rows plus
-    fixed per-query overhead, not O(n) materialized intermediates)."""
-    query = "SELECT id FROM big WHERE v >= 0 LIMIT 10"
+    """SELECT ... LIMIT 10 over 100k rows must stop the scan early: its peak
+    allocation is orders of magnitude below the same query's without the
+    LIMIT, and small in absolute terms (O(limit) rows plus fixed per-query
+    overhead, not O(n) intermediates)."""
+    query = "SELECT id FROM big WHERE v >= 0"
 
-    def peak(mode: str) -> int:
-        wide_db.config.execution_mode = mode
+    def peak(sql: str, rows: int) -> int:
         tracemalloc.start()
         try:
-            result = wide_db.query(query)
+            result = wide_db.query(sql)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            wide_db.config.execution_mode = "streaming"
-        assert len(result) == 10
+        assert len(result) == rows
         return peak_bytes
 
-    materialized_peak = peak("materialized")
-    streaming_peak = peak("streaming")
-    assert streaming_peak < materialized_peak / 20
-    assert streaming_peak < 8 * 1024 * 1024
-
-
-def test_stream_is_lazy_and_short_circuits(wide_db):
-    """Database.stream produces rows on demand: pulling a handful of rows
-    must not scan the whole 100k-row table.  Row mode gives the row-exact
-    guarantee via Table.scan; the batched default is checked at its own
-    granularity (pages decoded) below."""
-    wide_db.config.execution_mode = "row"
-    scanned = 0
-    original_scan = type(wide_db.table("big")).scan
-
-    def counting_scan(self):
-        nonlocal scanned
-        for item in original_scan(self):
-            scanned += 1
-            yield item
-
-    table_cls = type(wide_db.table("big"))
-    table_cls.scan = counting_scan
-    try:
-        stream = wide_db.stream("SELECT id FROM big")
-        first_three = [next(stream) for _ in range(3)]
-    finally:
-        table_cls.scan = original_scan
-        wide_db.config.execution_mode = "streaming"
-    assert [row.values for row in first_three] == [(0,), (1,), (2,)]
-    assert 0 < scanned <= 3
+    unlimited_peak = peak(query, 100_000)
+    limit_peak = peak(query + " LIMIT 10", 10)
+    assert limit_peak < unlimited_peak / 20
+    assert limit_peak < 8 * 1024 * 1024
 
 
 def test_batched_stream_decodes_lazily(wide_db, monkeypatch):
-    """The batched pipeline's laziness unit is the page: pulling a handful
-    of rows from a 100k-row stream decodes at most a couple of pages."""
+    """Database.stream produces rows on demand, and the batched pipeline's
+    laziness unit is the page: pulling a handful of rows from a 100k-row
+    stream decodes at most a couple of pages."""
     from repro.storage.heap_file import HeapFile
     pages = []
     original = HeapFile.scan_page_rows
@@ -341,7 +327,7 @@ def test_batched_stream_decodes_lazily(wide_db, monkeypatch):
 # Spilling rows of the matrix: tiny memory budgets force every pipeline
 # breaker (hash-join build, GROUP BY, DISTINCT, sort) through the temp-file
 # partition/run machinery; values AND annotations must survive the
-# serialize/partition/merge round trip in every mode and batch size.
+# serialize/partition/merge round trip for every consumer and batch size.
 # ---------------------------------------------------------------------------
 #: Budgets of roughly one and a few batches at the tiny differential sizes.
 SPILL_BUDGETS = (2, 7)
@@ -351,25 +337,26 @@ SPILL_SHAPES = ("equi_join", "three_way_join", "explicit_left_join",
                 "join_with_group_by", "distinct_order", "range_between_order")
 
 
-def run_with_budget(db: Database, query: str, strategy: str, mode: str,
-                    budget: int, batch_size: int = 1024):
+def run_with_budget(db: Database, query: str, strategy: str,
+                    budget: int, batch_size: int = 1024,
+                    consumer: str = "drained"):
     db.config.memory_budget_rows = budget
     try:
-        return run_query(db, query, strategy, mode, batch_size)
+        return run_query(db, query, strategy, batch_size, consumer)
     finally:
         db.config.memory_budget_rows = None
 
 
 @pytest.mark.parametrize("shape", SPILL_SHAPES)
 @pytest.mark.parametrize("strategy", ("auto", "hash"))
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("consumer", CONSUMERS)
 @pytest.mark.parametrize("budget", SPILL_BUDGETS)
 def test_spilling_agrees_with_in_memory_baseline(diff_db, shape, strategy,
-                                                 mode, budget):
+                                                 consumer, budget):
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(diff_db, query)
-    candidate = canonical(run_with_budget(diff_db, query, strategy, mode,
-                                          budget))
+    baseline = nested_loop_baseline(diff_db, query)
+    candidate = canonical(run_with_budget(diff_db, query, strategy, budget,
+                                          consumer=consumer))
     assert candidate == baseline
 
 
@@ -377,8 +364,8 @@ def test_spilling_agrees_with_in_memory_baseline(diff_db, shape, strategy,
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_spilling_invariant_under_batch_size(diff_db, shape, batch_size):
     query = QUERY_SHAPES[shape]
-    baseline = materialized_baseline(diff_db, query)
-    candidate = canonical(run_with_budget(diff_db, query, "hash", "streaming",
+    baseline = nested_loop_baseline(diff_db, query)
+    candidate = canonical(run_with_budget(diff_db, query, "hash",
                                           budget=2, batch_size=batch_size))
     assert candidate == baseline
 
@@ -386,13 +373,11 @@ def test_spilling_invariant_under_batch_size(diff_db, shape, batch_size):
 def test_spill_budgets_actually_spill(diff_db):
     """The spilling rows are only meaningful if the temp-file paths really
     run: each operator family must report spill activity at budget 2."""
-    run_with_budget(diff_db, QUERY_SHAPES["equi_join"], "hash", "streaming", 2)
+    run_with_budget(diff_db, QUERY_SHAPES["equi_join"], "hash", 2)
     assert diff_db.engine.last_spill.events("hash_join")
-    run_with_budget(diff_db, QUERY_SHAPES["join_with_group_by"], "hash",
-                    "streaming", 2)
+    run_with_budget(diff_db, QUERY_SHAPES["join_with_group_by"], "hash", 2)
     assert diff_db.engine.last_spill.events("group_by")
-    run_with_budget(diff_db, QUERY_SHAPES["distinct_order"], "hash",
-                    "streaming", 2)
+    run_with_budget(diff_db, QUERY_SHAPES["distinct_order"], "hash", 2)
     spilled = {event["operator"]
                for event in diff_db.engine.last_spill.operators}
     assert "distinct" in spilled and "sort" in spilled
@@ -530,8 +515,9 @@ def test_mixed_type_join_keys_stay_on_nested_loop():
 # ---------------------------------------------------------------------------
 #: Each shape is (parameterized SQL, bound values, literal-inlined SQL); the
 #: two texts must be observationally equivalent — same row multisets AND the
-#: same propagated annotations — under every (strategy, mode, batch size)
-#: combination, executed twice so the second run exercises the cached plan.
+#: same propagated annotations — under every (strategy, batch size, fetch
+#: method) combination, executed twice so the second run exercises the
+#: cached plan.
 PARAMETERIZED_SHAPES = {
     "param_equi_join_filters": (
         "SELECT g.gid, p.pid, p.kind FROM gene ANNOTATION(gnote) g, "
@@ -567,45 +553,54 @@ PARAMETERIZED_SHAPES = {
 }
 
 
+#: The DB-API ways to pull a cursor's rows.
+FETCH_METHODS = ("fetchall", "fetchmany", "iterate")
+
+
 def run_cursor_query(db: Database, sql: str, params, strategy: str,
-                     mode: str, batch_size: int = 1024):
-    """One cursor execution under a forced (strategy, mode, batch) triple."""
-    from types import SimpleNamespace
+                     batch_size: int = 1024, fetch: str = "fetchall"):
+    """One cursor execution under a forced (strategy, batch size) pair,
+    its rows pulled with one of :data:`FETCH_METHODS`."""
     db.config.join_strategy = strategy
-    db.config.execution_mode = mode
     db.config.batch_size = batch_size
     try:
-        rows = db.connect().cursor().execute(sql, params).fetchall()
+        cursor = db.connect().cursor().execute(sql, params)
+        if fetch == "fetchall":
+            rows = cursor.fetchall()
+        elif fetch == "fetchmany":
+            rows = []
+            while chunk := cursor.fetchmany(2):
+                rows.extend(chunk)
+        else:
+            assert fetch == "iterate", fetch
+            rows = list(cursor)
         return SimpleNamespace(rows=rows)
     finally:
         db.config.join_strategy = "auto"
-        db.config.execution_mode = "streaming"
         db.config.batch_size = 1024
 
 
 @pytest.mark.parametrize("shape", sorted(PARAMETERIZED_SHAPES))
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fetch", FETCH_METHODS)
 @pytest.mark.parametrize("batch_size", (1, 1024))
 def test_cursor_parameters_match_inlined_literals(diff_db, shape, strategy,
-                                                  mode, batch_size):
+                                                  fetch, batch_size):
     sql, params, literal_sql = PARAMETERIZED_SHAPES[shape]
-    expected = canonical(run_query(diff_db, literal_sql, strategy, mode,
-                                   batch_size))
-    first = canonical(run_cursor_query(diff_db, sql, params, strategy, mode,
-                                       batch_size))
+    expected = canonical(run_query(diff_db, literal_sql, strategy, batch_size))
+    first = canonical(run_cursor_query(diff_db, sql, params, strategy,
+                                       batch_size, fetch))
     assert first == expected
     # Second execution reuses the cached plan — must stay equivalent.
-    second = canonical(run_cursor_query(diff_db, sql, params, strategy, mode,
-                                        batch_size))
+    second = canonical(run_cursor_query(diff_db, sql, params, strategy,
+                                        batch_size, fetch))
     assert second == expected
 
 
 @pytest.mark.parametrize("shape", sorted(PARAMETERIZED_SHAPES))
 def test_cursor_parameters_with_indexes_match_baseline(indexed_db, shape):
     sql, params, literal_sql = PARAMETERIZED_SHAPES[shape]
-    expected = materialized_baseline(indexed_db, literal_sql)
+    expected = nested_loop_baseline(indexed_db, literal_sql)
     for strategy in INDEXED_STRATEGIES:
-        got = canonical(run_cursor_query(indexed_db, sql, params, strategy,
-                                         "streaming"))
+        got = canonical(run_cursor_query(indexed_db, sql, params, strategy))
         assert got == expected, f"strategy {strategy} diverged"

@@ -206,8 +206,9 @@ class TestOperators:
         relation = make_relation()
         ordered = ops.materialize(ops.order_by(relation, [ast.OrderItem(ast.ColumnRef("score"), False)]))
         assert [row.values[1] for row in ordered[1]] == [20, 20, 10]
-        limited = ops.materialize(ops.limit_offset(ordered, 1, 1))
-        assert len(limited[1]) == 1
+        limited = ops.materialize(
+            ops.limit_offset(ops.ensure_batched(ordered, 2), 1, 1))
+        assert [row.values for row in limited[1]] == [ordered[1][1].values]
 
 
 class TestEvaluator:

@@ -10,9 +10,9 @@ bounded peak memory (tracemalloc, the PR-2 LIMIT test pattern), return the
 same answers as the in-memory path, and report the spill through EXPLAIN
 and ``engine.last_spill``.
 
-The differential matrix rows that force spilling across strategy × mode ×
-batch size live in ``tests/test_join_differential.py``; the annotated
-query-shape matrix below (every spilling breaker × strategy × mode against
+The differential matrix rows that force spilling across strategy × batch
+size live in ``tests/test_join_differential.py``; the annotated query-shape
+matrix below (every spilling breaker × strategy × result consumer against
 the in-memory run) anchors values, order keys and annotation identity.
 """
 
@@ -30,6 +30,7 @@ from repro.executor import operators as ops
 from repro.executor.row import ColumnInfo, OutputSchema, Row
 from repro.sql import ast
 from repro.storage.spill import SpillManager, SpillStats, clamp_partitions
+from tests.test_join_differential import CONSUMERS, consume
 
 NAN = float("nan")
 
@@ -245,6 +246,43 @@ class TestPartitionRecursion:
         got = sorted(spilling.query(query).values())
         assert spilling.engine.last_spill.spilled
         assert got == sorted(baseline.query(query).values())
+
+
+class TestSetOperationNaN:
+    """INTERSECT and EXCEPT collapse NaNs like DISTINCT, UNION and the hash
+    join do (NaN = NaN in the engine's value order) and keep NULL = NULL,
+    in memory and through the spilled partitioning, where ``hash(nan)`` is
+    per-object and must not scatter equal NaNs across partitions."""
+
+    @pytest.fixture(params=[None, 2], ids=["in_memory", "spilled"])
+    def db(self, request):
+        db = Database(memory_budget_rows=request.param)
+        tables = {"a": [NAN, 1.0, None, NAN, 2.0],
+                  "b": [1.0, NAN, None, 3.0, NAN],
+                  "c": [1.0, None]}
+        for name, values in tables.items():
+            db.execute(f"CREATE TABLE {name} (x FLOAT)")
+            for value in values:
+                db.table(name).insert_row({"x": value})
+        return db
+
+    def run(self, db, query):
+        rows = [repr(row[0]) for row in db.query(query).values()]
+        assert db.engine.last_spill.spilled == \
+            (db.config.memory_budget_rows is not None)
+        return rows
+
+    def test_intersect_matches_nan_and_null(self, db):
+        assert self.run(db, "SELECT x FROM a INTERSECT SELECT x FROM b") == \
+            ["nan", "1.0", "None"]
+
+    def test_except_removes_nan_present_on_the_right(self, db):
+        assert self.run(db, "SELECT x FROM a EXCEPT SELECT x FROM b") == \
+            ["2.0"]
+
+    def test_except_keeps_one_nan_absent_from_the_right(self, db):
+        assert self.run(db, "SELECT x FROM a EXCEPT SELECT x FROM c") == \
+            ["nan", "2.0"]
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +642,6 @@ SPILL_SHAPES = {
 }
 
 STRATEGIES = ("auto", "hash", "merge")
-MODES = ("streaming", "row", "materialized")
 BUDGET = 48
 
 
@@ -621,16 +658,14 @@ def ordered_snapshot(result):
 
 
 def run_shape(db: Database, query: str, budget, strategy: str = "auto",
-              mode: str = "streaming"):
+              consumer: str = "drained"):
     db.config.memory_budget_rows = budget
     db.config.join_strategy = strategy
-    db.config.execution_mode = mode
     try:
-        return ordered_snapshot(db.query(query))
+        return ordered_snapshot(consume(db, query, consumer))
     finally:
         db.config.memory_budget_rows = None
         db.config.join_strategy = "auto"
-        db.config.execution_mode = "streaming"
 
 
 @pytest.fixture(scope="module")
@@ -640,14 +675,14 @@ def spill_db() -> Database:
 
 @pytest.mark.parametrize("shape", sorted(SPILL_SHAPES))
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("mode", MODES)
-def test_spilled_matches_in_memory(spill_db, shape, strategy, mode):
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_spilled_matches_in_memory(spill_db, shape, strategy, consumer):
     """The budgeted run agrees with the unbudgeted in-memory run under every
-    strategy and execution mode — values and annotation identity, as a
+    strategy and result consumer — values and annotation identity, as a
     multiset (spilling may legitimately reorder shapes without ORDER BY)."""
     query = SPILL_SHAPES[shape]
-    spilled = run_shape(spill_db, query, BUDGET, strategy, mode)
-    in_memory = run_shape(spill_db, query, None, strategy, mode)
+    spilled = run_shape(spill_db, query, BUDGET, strategy, consumer)
+    in_memory = run_shape(spill_db, query, None, strategy, consumer)
     assert sorted(spilled, key=repr) == sorted(in_memory, key=repr)
 
 

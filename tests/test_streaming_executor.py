@@ -2,8 +2,8 @@
 
 Covers the three PR-2 planner/executor features end to end:
 
-* streaming iterators — ``Database.stream``, lazy pipelines, LIMIT
-  short-circuiting, and the ``execution_mode`` knob;
+* streaming iterators — ``Database.stream``, lazy pipelines and LIMIT
+  short-circuiting;
 * residual-conjunct pushdown to the lowest covering plan node;
 * index access paths — point ``IndexScan`` leaves and index-nested-loop
   joins selected from the registered B-tree / hash indexes, surfaced through
@@ -15,13 +15,14 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, EngineConfig, ResultSet, StreamingResultSet
-from repro.core.errors import ExecutionError, PlanningError
+from repro.core.errors import ExecutionError
 from repro.planner.plan import (
     format_expression,
     plan_access_paths,
     plan_strategies,
 )
 from repro.sql.parser import parse_expression
+from repro.storage.heap_file import HeapFile
 
 
 def build_db() -> Database:
@@ -79,17 +80,14 @@ class TestStreamingSurface:
         with pytest.raises(AuthorizationError):
             db.stream("SELECT gid FROM gene", user="alice")
 
-    def test_unknown_execution_mode_is_rejected(self, db):
-        db.config.execution_mode = "turbo"
-        with pytest.raises(PlanningError):
-            db.query("SELECT gid FROM gene")
-
-    def test_materialized_mode_agrees_with_streaming(self, db):
+    def test_group_by_matches_table_scan(self, db):
         query = ("SELECT kind, COUNT(*) AS n FROM protein WHERE pid < 40 "
                  "GROUP BY kind ORDER BY kind")
-        streaming = db.query(query).values()
-        db.config.execution_mode = "materialized"
-        assert db.query(query).values() == streaming
+        counts = {}
+        for _, (pid, _gid, kind, _score) in db.table("protein").scan():
+            if pid < 40:
+                counts[kind] = counts.get(kind, 0) + 1
+        assert db.query(query).values() == sorted(counts.items())
 
     def test_set_operations_stream(self, db):
         stream = db.stream(
@@ -283,49 +281,43 @@ class TestIndexAccessPaths:
 # LIMIT short-circuiting
 # ---------------------------------------------------------------------------
 class TestLimitShortCircuit:
-    def test_limit_stops_the_scan(self, db, monkeypatch):
-        # Row-at-a-time mode: the batched pipeline reads whole pages, so the
-        # row-exact guarantee (and this counting hook on Table.scan) applies
-        # to execution_mode="row"; the batched laziness guarantee is covered
-        # by tests/test_batch_execution.py at page granularity.
-        db.config.execution_mode = "row"
-        table = db.table("protein")
-        scanned = []
-        original_scan = type(table).scan
+    """The batched scan decodes whole heap pages, so LIMIT's early stop is
+    pinned at page granularity: a satisfied LIMIT decodes a page or two of a
+    table that spans many."""
 
-        def counting_scan(self_table):
-            for item in original_scan(self_table):
-                scanned.append(item[0])
-                yield item
+    @pytest.fixture()
+    def paged(self, db, monkeypatch):
+        protein = db.table("protein")
+        for i in range(60, 3_000):
+            protein.insert_row({"pid": i, "gid": f"G{i % 25}",
+                                "kind": f"k{i % 3}", "score": i * 0.5})
+        assert protein.heap.num_pages() >= 20
+        decoded = []
+        original = HeapFile.scan_page_rows
 
-        monkeypatch.setattr(type(table), "scan", counting_scan)
+        def counting(self, page_id, with_tuple_ids=True):
+            decoded.append(page_id)
+            return original(self, page_id, with_tuple_ids)
+
+        monkeypatch.setattr(HeapFile, "scan_page_rows", counting)
+        return db, decoded
+
+    def test_limit_stops_the_scan(self, paged):
+        db, decoded = paged
         result = db.query("SELECT pid FROM protein LIMIT 5")
-        assert len(result) == 5
-        assert 0 < len(scanned) <= 5
+        assert result.values() == [(i,) for i in range(5)]
+        assert 0 < len(decoded) <= 2
 
-    def test_limit_with_filter_scans_only_until_satisfied(self, db, monkeypatch):
-        db.config.execution_mode = "row"
-        table = db.table("protein")
-        scanned = []
-        original_scan = type(table).scan
-
-        def counting_scan(self_table):
-            for item in original_scan(self_table):
-                scanned.append(item[0])
-                yield item
-
-        monkeypatch.setattr(type(table), "scan", counting_scan)
+    def test_limit_with_filter_scans_only_until_satisfied(self, paged):
+        db, decoded = paged
         # kind = 'k2' matches every third row: 3 matches need ~9 scanned rows.
         result = db.query("SELECT pid FROM protein WHERE kind = 'k2' LIMIT 3")
-        assert len(result) == 3
-        assert 0 < len(scanned) < 60
+        assert result.values() == [(2,), (5,), (8,)]
+        assert 0 < len(decoded) <= 2
 
-    def test_offset_and_limit_agree_with_materialized(self, db):
+    def test_offset_and_limit_return_the_ordered_window(self, db):
         query = "SELECT pid FROM protein ORDER BY pid LIMIT 7 OFFSET 5"
-        streaming = db.query(query).values()
-        db.config.execution_mode = "materialized"
-        assert db.query(query).values() == streaming
-        assert streaming == [(i,) for i in range(5, 12)]
+        assert db.query(query).values() == [(i,) for i in range(5, 12)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Docs sanity checker: every internal markdown link must resolve,
 docs/TUNING.md must document exactly the knobs ``EngineConfig`` has, and
-the docs name only ``engine.last_*`` surfaces that ``Engine`` defines.
+the docs name only ``engine.last_*`` surfaces that ``Engine`` defines and
+only ``EngineConfig`` fields that exist.
 
 Usage (CI): ``python tools/check_docs.py``
 
@@ -24,8 +25,11 @@ added, or half-deleted, without documentation) both fail.
 The observability check reads ``docs/*.md`` and the verify skill notes
 (``.claude/skills/verify/SKILL.md``) for ``engine.last_<name>`` mentions
 and fails on any name ``repro.executor.engine.Engine`` does not define, so
-a removed per-query surface cannot stay documented.  CHANGES.md and
-ROADMAP.md are history and may name removed surfaces.
+a removed per-query surface cannot stay documented.  The config check reads
+the same files for ``EngineConfig.<name>`` and ``db.config.<name>`` and
+fails on any name that is not an ``EngineConfig`` field, so a removed knob
+cannot stay documented either.  CHANGES.md and ROADMAP.md are history and
+may name removed surfaces and knobs.
 
 Exits non-zero listing every problem.
 """
@@ -47,6 +51,7 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
 _KNOB_HEADING = re.compile(r"^### `(\w+)`", re.MULTILINE)
 _ENGINE_SURFACE = re.compile(r"engine\.(last_\w+)")
+_CONFIG_NAME = re.compile(r"\b(?:EngineConfig|db\.config)\.(\w+)")
 
 
 def github_slug(heading: str) -> str:
@@ -110,7 +115,8 @@ def engine_surfaces() -> set:
 
 
 def surface_files() -> list:
-    """Current-API docs checked for stale ``engine.last_*`` names."""
+    """Current-API docs checked for stale ``engine.last_*`` and config
+    names."""
     files = sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
     skill = os.path.join(REPO_ROOT, ".claude", "skills", "verify", "SKILL.md")
     if os.path.exists(skill):
@@ -122,6 +128,13 @@ def check_surfaces(relative: str, text: str, surfaces: set) -> list:
     """``engine.last_*`` names in ``text`` that ``Engine`` does not define."""
     return [f"{relative}: engine.{name} is not an Engine attribute"
             for name in sorted(set(_ENGINE_SURFACE.findall(text)) - surfaces)]
+
+
+def check_config_names(relative: str, text: str, fields: set) -> list:
+    """``EngineConfig.<name>`` / ``db.config.<name>`` mentions in ``text``
+    that name no ``EngineConfig`` field."""
+    return [f"{relative}: EngineConfig.{name} is not an EngineConfig field"
+            for name in sorted(set(_CONFIG_NAME.findall(text)) - fields)]
 
 
 def check_knobs(tuning_text: str, fields: set) -> list:
@@ -141,14 +154,17 @@ def main() -> int:
     problems = []
     for path in files:
         problems.extend(check_file(path))
+    fields = config_fields()
     with open(os.path.join(REPO_ROOT, "docs", "TUNING.md"),
               encoding="utf-8") as handle:
-        problems.extend(check_knobs(handle.read(), config_fields()))
+        problems.extend(check_knobs(handle.read(), fields))
     surfaces = engine_surfaces()
     for path in surface_files():
+        relative = os.path.relpath(path, REPO_ROOT)
         with open(path, encoding="utf-8") as handle:
-            problems.extend(check_surfaces(os.path.relpath(path, REPO_ROOT),
-                                           handle.read(), surfaces))
+            text = handle.read()
+        problems.extend(check_surfaces(relative, text, surfaces))
+        problems.extend(check_config_names(relative, text, fields))
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown file(s): "
