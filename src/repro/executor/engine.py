@@ -127,10 +127,13 @@ class EngineConfig:
     #: to per-row batches (useful for differential testing).
     batch_size: int = 1024
     #: Maximum rows a pipeline breaker (hash-join build, GROUP BY, DISTINCT,
-    #: sort) may buffer in memory before spilling to temp files.  ``None``
-    #: (the default) keeps every breaker fully in memory.  The budget is
-    #: per-operator and approximate: it may be overshot by up to one batch,
-    #: and a single over-represented key's rows must still fit in memory.
+    #: INTERSECT/EXCEPT, DISTINCT aggregates, sort) may buffer in memory
+    #: before spilling to temp files.  ``None`` (the default) keeps every
+    #: breaker fully in memory.  The budget is per-operator and approximate:
+    #: it may be overshot by up to one batch, and a single over-represented
+    #: key's rows must still fit in memory.  GROUP BY, DISTINCT and the
+    #: hash join re-split over-budget partitions; INTERSECT, EXCEPT and
+    #: DISTINCT aggregates partition one level and hold each partition whole.
     memory_budget_rows: Optional[int] = None
     #: Directory for spill temp files (``None`` = the platform temp dir).
     spill_directory: Optional[str] = None

@@ -59,7 +59,7 @@ from repro.executor.row import (
     concat_annotation_vectors,
     merge_annotation_vectors,
 )
-from repro.storage.spill import MAX_SPILL_DEPTH, SpillFile, SpillManager
+from repro.storage.spill import MAX_SPILL_DEPTH, SpillFile, SpillManager, bucket
 from repro.planner.expressions import (
     AggregateState,
     AnnotationPredicate,
@@ -70,7 +70,7 @@ from repro.planner.expressions import (
 )
 from repro.planner.planner import referenced_columns, split_conjuncts
 from repro.sql import ast
-from repro.types.values import ReverseSortKey, SortKey
+from repro.types.values import NAN_KEY, ReverseSortKey, SortKey, hash_key
 
 #: A relation flowing between operators: an output schema plus a row
 #: iterable.  Streaming operators produce one-shot generators; consumers that
@@ -482,19 +482,6 @@ def _compile_keys(schema: OutputSchema,
     return [evaluator.compile(key) for key in keys]
 
 
-#: Canonical stand-in for NaN hash keys.  Python's ``dict`` treats distinct
-#: NaN objects as unequal, but ``compare_values`` orders NaN equal to itself,
-#: so the hash join must bucket all NaNs together to match the other
-#: strategies.
-_NAN_KEY = object()
-
-
-def _hash_key(value: Any) -> Any:
-    if isinstance(value, float) and value != value:
-        return _NAN_KEY
-    return value
-
-
 #: Per-row entry flowing through the batched join internals: a value tuple
 #: plus its annotation vector (or ``None`` — the unannotated fast path).
 _Entry = Tuple[Tuple[Any, ...], Optional[List[Set[Any]]]]
@@ -591,13 +578,9 @@ class _HashJoin:
             if value is None:
                 return None
             if value != value:  # NaN: canonical bucket, like compare_values
-                value = _NAN_KEY
+                value = NAN_KEY
             key.append(value)
         return tuple(key)
-
-    @staticmethod
-    def _bucket(key: Tuple[Any, ...], salt: int, fanout: int) -> int:
-        return hash((salt, key)) % fanout
 
     # -- build -----------------------------------------------------------
     def build(self, right_rows: Iterable[Row]
@@ -626,7 +609,7 @@ class _HashJoin:
                 if key is None:
                     continue
                 if key != key:
-                    key = _NAN_KEY
+                    key = NAN_KEY
                 setdefault((key,), []).append((values, None))
             return
         annotations = anns_list if anns_list is not None else (None,) * len(values_list)
@@ -651,14 +634,14 @@ class _HashJoin:
                                              recursive_splits=0, hybrid=True)
 
         def add(key: Tuple[Any, ...], values, anns) -> None:
-            bucket = self._bucket(key, 0, fanout)
-            if bucket == 0 and self.resident is not None:
+            target = bucket(key, 0, fanout)
+            if target == 0 and self.resident is not None:
                 self.resident.setdefault(key, []).append((values, anns))
                 self._resident_rows += 1
                 if self._resident_rows > budget:
                     self._demote_resident(files)
                 return
-            files[bucket].append(values, anns)
+            files[target].append(values, anns)
 
         for key, bucket_rows in table.items():
             for values, anns in bucket_rows:
@@ -712,7 +695,7 @@ class _HashJoin:
             if get_single is not None:
                 key = get_single(values)
                 if key is not None and key != key:
-                    key = _NAN_KEY
+                    key = NAN_KEY
                 key = (key,) if key is not None else None
             else:
                 key = self._key_of(getters, values)
@@ -788,8 +771,8 @@ class _HashJoin:
                         out_anns.append(concat_annotation_vectors(
                             anns, None, self.left_arity, self.right_arity))
                     continue
-                bucket = self._bucket(key, 0, fanout)
-                if bucket == 0 and hybrid:
+                target = bucket(key, 0, fanout)
+                if target == 0 and hybrid:
                     # Hybrid: partition 0's build side never left memory,
                     # so its probe rows join right here — no disk round
                     # trip for either side of this partition.
@@ -797,7 +780,7 @@ class _HashJoin:
                     self._probe_resident(key, values, anns,
                                          out_values, out_anns)
                     continue
-                probe_files[bucket].append(values, anns)
+                probe_files[target].append(values, anns)
             if out_values:
                 yield batch_from_entries(out_values, out_anns, self.arity)
         self.event["probed_rows"] = resident_probed_rows + sum(
@@ -845,7 +828,7 @@ class _HashJoin:
         sub_build = [self.spill.new_file() for _ in range(fanout)]
         for values, anns in build_file.entries():
             key = self._key_of(self.build_keys, values)
-            sub_build[self._bucket(key, salt, fanout)].append(values, anns)
+            sub_build[bucket(key, salt, fanout)].append(values, anns)
         build_file.close()
         next_depth = depth + 1
         if max(f.rows_written for f in sub_build) == \
@@ -856,7 +839,7 @@ class _HashJoin:
         sub_probe = [self.spill.new_file() for _ in range(fanout)]
         for values, anns in probe_file.entries():
             key = self._key_of(self.probe_keys, values)
-            sub_probe[self._bucket(key, salt, fanout)].append(values, anns)
+            sub_probe[bucket(key, salt, fanout)].append(values, anns)
         probe_file.close()
         for build_part, probe_part in zip(sub_build, sub_probe):
             yield from self._join_partition(build_part, probe_part, next_depth)
@@ -985,7 +968,7 @@ def merge_join(left: Relation, right: Relation,
     def note_spill(key: str) -> None:
         if event[0] is None:
             event[0] = spill.stats.record("merge_join", sort_runs=0,
-                                          spilled_groups=0,
+                                          spilled_duplicate_groups=0,
                                           spilled_unmatched=0)
         event[0][key] += 1
 
@@ -1058,7 +1041,7 @@ def merge_join(left: Relation, right: Relation,
                 r = next(right_pairs, None)
             else:
                 group = _SpillableRowBuffer(
-                    spill, on_spill=lambda: note_spill("spilled_groups"))
+                    spill, on_spill=lambda: note_spill("spilled_duplicate_groups"))
                 while r is not None and r[0] == left_key:
                     group.add(r[1])
                     r = next(right_pairs, None)
@@ -1132,10 +1115,10 @@ def index_nested_loop_join(left: Relation, source: TableRowSource, index: Any,
             nonlocal fallback
             if fallback is None:
                 fallback = [
-                    (tuple(_hash_key(getter(row)) for getter in inner_keys), row)
+                    (tuple(hash_key(getter(row)) for getter in inner_keys), row)
                     for row in source.iter_rows() if passes_filter(row)
                 ]
-            wanted = tuple(_hash_key(value) for value in key_values)
+            wanted = tuple(hash_key(value) for value in key_values)
             for key, row in fallback:
                 if key == wanted:
                     yield row
@@ -1361,7 +1344,7 @@ def group_and_aggregate(relation: Relation, group_by: Sequence[ast.Expression],
     """
     schema, rows = relation
     evaluator = Evaluator(schema)
-    group_keys = [evaluator.compile(expr) for expr in group_by]
+    group_keys = [evaluator.compile_values(expr) for expr in group_by]
     arity = len(schema)
 
     # Column list of the output (checked eagerly).
@@ -1382,8 +1365,8 @@ def group_and_aggregate(relation: Relation, group_by: Sequence[ast.Expression],
 
     ahaving_predicate = AnnotationPredicate(ahaving) if ahaving is not None else None
 
-    def normalized_key(row: Row) -> Tuple[Any, ...]:
-        return tuple(_hash_key(key(row)) for key in group_keys)
+    def normalized_key(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        return tuple(hash_key(key(values)) for key in group_keys)
 
     def finish_group(values: List[Any], union_all: Set[Any],
                      passed_having: bool) -> Optional[Row]:
@@ -1447,66 +1430,19 @@ def group_and_aggregate(relation: Relation, group_by: Sequence[ast.Expression],
             passed = predicate_is_true(evaluate(having))
         return finish_group(values, union_all, passed)
 
-    def grouped_partition(entries: Iterable[_Entry],
-                          total_rows: int, depth: int) -> Iterator[Row]:
-        """Group one spilled partition, re-partitioning while oversized."""
-        budget = spill.budget_rows
-        if total_rows > budget and depth < MAX_SPILL_DEPTH:
-            fanout = spill.partition_count(total_rows)
-            files = [spill.new_file() for _ in range(fanout)]
-            for values, anns in entries:
-                row = Row(values, anns)
-                bucket = hash((depth, normalized_key(row))) % fanout
-                files[bucket].append(values, anns)
-            split = max(f.rows_written for f in files) < \
-                sum(f.rows_written for f in files)
-            for handle in files:
-                # A partition the rehash failed to split (one dominant key)
-                # is grouped in memory — recursion cannot shrink it.
-                next_depth = depth + 1 if split else MAX_SPILL_DEPTH
-                yield from grouped_partition(handle.entries(),
-                                             handle.rows_written, next_depth)
-                handle.close()
-            return
-        groups: Dict[Tuple[Any, ...], List[Row]] = {}
-        order: List[Tuple[Any, ...]] = []
-        for values, anns in entries:
-            row = Row(values, anns)
-            key = normalized_key(row)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        for key in order:
-            candidate = emit_group(groups[key])
+    def emit_groups(groups: Dict[Tuple[Any, ...], List[Row]]) -> Iterator[Row]:
+        for members in groups.values():
+            candidate = emit_group(members)
             if candidate is not None:
                 yield candidate
 
-    def spilled_groups(groups: Dict[Tuple[Any, ...], List[Row]],
-                       rest: Iterable[Row]) -> Iterator[Row]:
-        """The budget was exceeded: partition everything seen so far plus
-        the rest of the input on the group-key hash, then group partitions
-        independently."""
-        fanout = spill.partition_count(input_rows_hint)
-        event = spill.stats.record("group_by", partitions=fanout)
-        files = [spill.new_file() for _ in range(fanout)]
-        for key, members in groups.items():
-            handle = files[hash((0, key)) % fanout]
-            for row in members:
-                handle.append(row.values, row._annotations)
-        for row in rest:
-            bucket = hash((0, normalized_key(row))) % fanout
-            files[bucket].append(row.values, row._annotations)
-        event["spilled_rows"] = sum(f.rows_written for f in files)
-
-        for index, handle in enumerate(files):
-            with spill.stats.timed_partition(event, partition=index,
-                                             rows=0) as timing:
-                for row in grouped_partition(handle.entries(),
-                                             handle.rows_written, depth=1):
-                    timing["rows"] += 1
-                    yield row
-                handle.close()
+    def fold(entries: Iterable[Tuple[int, Tuple[Any, ...], Any]]
+             ) -> Iterator[Row]:
+        """Group one spilled partition in memory."""
+        groups: Dict[Tuple[Any, ...], List[Row]] = {}
+        for _, values, anns in entries:
+            groups.setdefault(normalized_key(values), []).append(Row(values, anns))
+        return emit_groups(groups)
 
     def output_rows() -> Iterator[Row]:
         if not group_keys:
@@ -1517,23 +1453,20 @@ def group_and_aggregate(relation: Relation, group_by: Sequence[ast.Expression],
             return
         budget = spill.budget_rows if spill is not None else None
         groups: Dict[Tuple[Any, ...], List[Row]] = {}
-        order: List[Tuple[Any, ...]] = []
         buffered = 0
         iterator = iter(rows)
         for row in iterator:
-            key = normalized_key(row)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            groups.setdefault(normalized_key(row.values), []).append(row)
             buffered += 1
             if budget is not None and buffered > budget:
-                yield from spilled_groups(groups, iterator)
+                # Rows of one group share a partition, so grouping each
+                # partition alone is exact; groups leave in partition order.
+                entries = _spill_entries(groups, iterator, normalized_key)
+                yield from spill.partitioned(
+                    "group_by", spill.partition_count(input_rows_hint),
+                    normalized_key, [entries], fold, ordered=False)
                 return
-        for key in order:
-            candidate = emit_group(groups[key])
-            if candidate is not None:
-                yield candidate
+        yield from emit_groups(groups)
     return output_schema, output_rows()
 
 
@@ -1633,13 +1566,23 @@ def _apply_binary(op: str, left: Any, right: Any) -> Any:
 def _distinct_key(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Duplicate-detection key: NaNs collapse to one bucket (the
     ``compare_values`` order), everything else compares as the dict does."""
-    return tuple(_hash_key(value) for value in values)
+    return tuple(hash_key(value) for value in values)
 
 
-def _partition(values: Tuple[Any, ...], fanout: int) -> int:
-    """Spill partition of a value tuple, consistent with :func:`_distinct_key`
-    (``hash(nan)`` is per-object, so NaNs must hash through the key)."""
-    return hash(_distinct_key(values)) % fanout
+def _spill_entries(held: Dict[Tuple[Any, ...], List[Row]], rest: Iterable[Row],
+                   key: Callable[[Tuple[Any, ...]], Any]) -> Iterator[Any]:
+    """A keyed breaker's input once the budget tripped, as
+    ``SpillManager.partitioned`` side entries: the buffered groups first
+    (emptying ``held``), each member numbered with its group's first-seen
+    rank — all that order restoration needs — then the rest of the input,
+    numbered on from there."""
+    for rank, (group_key, members) in enumerate(held.items()):
+        for row in members:
+            yield group_key, rank, row.values, row._annotations
+    start = len(held)
+    held.clear()
+    for sequence, row in enumerate(rest, start):
+        yield key(row.values), sequence, row.values, row._annotations
 
 
 def distinct(relation: Relation,
@@ -1649,141 +1592,45 @@ def distinct(relation: Relation,
 
     A pipeline breaker: the annotation union over duplicates is only known
     once every input row has been seen.  With ``spill``, an input exceeding
-    the budget is hash-partitioned on the value tuple; each spilled row is
-    tagged with its first-seen sequence number so the merged output keeps
-    the first-occurrence order the in-memory path produces (which is what
-    makes ``ORDER BY`` upstream of DISTINCT survive a spill).
+    the budget is hash-partitioned on the value tuple; each spilled row
+    carries its group's first-seen sequence number so the merged output
+    keeps the first-occurrence order the in-memory path produces (which is
+    what makes ``ORDER BY`` upstream of DISTINCT survive a spill).
     """
     schema, rows = relation
     arity = len(schema)
 
-    def spilled_distinct(seen: Dict[Tuple[Any, ...], List[Row]],
-                         order: List[Tuple[Any, ...]],
-                         rest: Iterable[Row]) -> Iterator[Row]:
-        budget = spill.budget_rows
-        fanout = spill.partition_count(input_rows_hint)
-        event = spill.stats.record("distinct", partitions=fanout)
-        files = [spill.new_file() for _ in range(fanout)]
-        # Buffered rows: every member of a group is tagged with the group's
-        # first-seen rank, which is all the order restoration needs.
-        for rank, key in enumerate(order):
-            handle = files[hash(key) % fanout]
-            for row in seen[key]:
-                handle.append((rank,) + row.values, row._annotations)
-        sequence = len(order)
-        for row in rest:
-            key = _distinct_key(row.values)
-            files[hash(key) % fanout].append((sequence,) + row.values,
-                                             row._annotations)
-            sequence += 1
-        event["spilled_rows"] = sum(f.rows_written for f in files)
-
-        def read_back(out: SpillFile):
-            for tagged_values, anns in out.entries():
-                yield tagged_values[0], tagged_values[1:], anns
-
-        def dedup_leaf(handle: SpillFile) -> SpillFile:
-            """Dedup one partition in memory; write its output back to disk,
-            ordered by first-seen sequence."""
-            groups: Dict[Tuple[Any, ...], List[Any]] = {}
-            ordered: List[Tuple[Any, ...]] = []
-            for tagged_values, anns in handle.entries():
-                sequence_no, values = tagged_values[0], tagged_values[1:]
-                key = _distinct_key(values)
-                entry = groups.get(key)
-                if entry is None:
-                    # [first seq, first values, running annotation union] —
-                    # the union vector stays None until some member is
-                    # annotated, so unannotated data pays no per-group sets.
-                    groups[key] = entry = [sequence_no, values, None]
-                    ordered.append(key)
-                if anns is not None:
-                    merged = entry[2]
-                    if merged is None:
-                        entry[2] = merged = [set() for _ in range(arity)]
-                    for position in range(min(arity, len(anns))):
-                        merged[position] |= anns[position]
-            handle.close()
-            out = spill.new_file()
-            for sequence_no, values, merged in sorted(
-                    (groups[key] for key in ordered),
-                    key=lambda entry: entry[0]):
-                out.append((sequence_no,) + values, merged)
-            return out
-
-        def merge_outputs(outputs: List[SpillFile], sink: SpillFile) -> None:
-            merged = heapq.merge(*(read_back(out) for out in outputs),
-                                 key=lambda entry: entry[0])
-            for sequence_no, values, anns in merged:
-                sink.append((sequence_no,) + values, anns)
-            for out in outputs:
-                out.close()
-
-        def distinct_partition(handle: SpillFile, depth: int) -> SpillFile:
-            """Dedup one partition, re-partitioning while it exceeds the
-            budget (so per-leaf memory stays near the budget, not
-            distinct-count / fan-out), and return its seq-ordered output
-            file.  Sub-outputs are merged back into one file per level,
-            which bounds every merge's fan-in — and therefore its read
-            buffers — by one level's fan-out."""
-            if handle.rows_written > budget and depth < MAX_SPILL_DEPTH:
-                fanout = spill.partition_count(handle.rows_written)
-                subfiles = [spill.new_file() for _ in range(fanout)]
-                for tagged_values, anns in handle.entries():
-                    key = _distinct_key(tagged_values[1:])
-                    subfiles[hash((depth, key)) % fanout].append(tagged_values,
-                                                                 anns)
-                handle.close()
-                split = max(f.rows_written for f in subfiles) < \
-                    sum(f.rows_written for f in subfiles)
-                # A partition rehashing cannot split (one dominant value)
-                # dedups in memory — its distinct set is tiny by definition.
-                next_depth = depth + 1 if split else MAX_SPILL_DEPTH
-                outputs = [distinct_partition(sub, next_depth)
-                           for sub in subfiles]
-                sink = spill.new_file()
-                merge_outputs(outputs, sink)
-                return sink
-            return dedup_leaf(handle)
-
-        # Dedup each partition (recursively), then k-way merge the
-        # seq-ordered partition outputs to restore the exact first-seen
-        # order — streaming from disk, never holding the operator's whole
-        # output in memory.
-        output_files: List[SpillFile] = []
-        for index, handle in enumerate(files):
-            with spill.stats.timed_partition(event, partition=index) as timing:
-                out = distinct_partition(handle, depth=1)
-                timing["rows"] = out.rows_written
-            output_files.append(out)
-        merged_entries = heapq.merge(*(read_back(out) for out in output_files),
-                                     key=lambda entry: entry[0])
-        for _, values, anns in merged_entries:
-            yield Row(values, anns if anns is not None
-                      else [set() for _ in range(arity)])
-        for out in output_files:
-            out.close()
+    def fold(entries: Iterable[Tuple[int, Tuple[Any, ...], Any]]
+             ) -> Iterable[List[Any]]:
+        """Dedup one partition; a partition is read in sequence order, so
+        its groups come out in first-seen order."""
+        # key -> [first sequence, first values, running annotation union]
+        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+        for sequence, values, anns in entries:
+            key = _distinct_key(values)
+            entry = groups.get(key)
+            if entry is None:
+                groups[key] = entry = [sequence, values, None]
+            entry[2] = _ann_union(entry[2], anns, arity)
+        return groups.values()
 
     def output_rows() -> Iterator[Row]:
         budget = spill.budget_rows if spill is not None else None
         seen: Dict[Tuple[Any, ...], List[Row]] = {}
-        order: List[Tuple[Any, ...]] = []
         buffered = 0
         iterator = iter(rows)
         for row in iterator:
-            key = _distinct_key(row.values)
-            if key not in seen:
-                seen[key] = []
-                order.append(key)
-            seen[key].append(row)
+            seen.setdefault(_distinct_key(row.values), []).append(row)
             buffered += 1
             if budget is not None and buffered > budget:
-                yield from spilled_distinct(seen, order, iterator)
+                entries = _spill_entries(seen, iterator, _distinct_key)
+                for _, values, anns in spill.partitioned(
+                        "distinct", spill.partition_count(input_rows_hint),
+                        _distinct_key, [entries], fold):
+                    yield Row(values, anns)
                 return
-        for key in order:
-            members = seen[key]
-            annotations = merge_annotation_vectors(members, arity)
-            yield Row(members[0].values, annotations)
+        for members in seen.values():
+            yield Row(members[0].values, merge_annotation_vectors(members, arity))
     return schema, output_rows()
 
 
@@ -1944,113 +1791,77 @@ def intersect(left: Relation, right: Relation,
     distinct value (never the member rows), and the left side streams,
     keeping state only for values the right side contains — so with the
     right side under ``spill.budget_rows`` nothing else can grow.  A right
-    side beyond the budget hash-partitions both inputs on the value tuple;
-    partitions intersect independently and a k-way merge on the left side's
-    first-seen sequence restores the exact in-memory output order.
+    side beyond the budget hash-partitions both inputs on the value tuple
+    (one level: a partition is held whole); partitions intersect
+    independently and a k-way merge on the left side's first-seen sequence
+    restores the exact in-memory output order.
     """
     _check_arity(left, right, "INTERSECT")
     schema = left[0]
     arity = len(schema)
 
-    def emit(values: Tuple[Any, ...], left_union, right_union) -> Row:
-        merged = [set() for _ in range(arity)]
-        for source in (left_union, right_union):
-            if source is not None:
-                for position in range(arity):
-                    merged[position] |= source[position]
-        return Row(values, merged)
+    def hold(right_union: Dict[Tuple[Any, ...], List[Any]],
+             values: Tuple[Any, ...], anns) -> None:
+        """Fold one right row into ``key -> [first values, union]``."""
+        key = _distinct_key(values)
+        entry = right_union.get(key)
+        if entry is None:
+            right_union[key] = entry = [values, None]
+        entry[1] = _ann_union(entry[1], anns, arity)
 
-    def spilled_intersect(right_union: Dict[Tuple[Any, ...], List[Any]],
-                          right_rest: Iterator[Row],
-                          left_iter: Iterator[Row]) -> Iterator[Row]:
-        fanout = spill.partition_count(input_rows_hint)
-        event = spill.stats.record("intersect", partitions=fanout)
-        right_files = [spill.new_file() for _ in range(fanout)]
+    def matches(right_union: Dict[Tuple[Any, ...], List[Any]],
+                left_entries: Iterable[Tuple[int, Tuple[Any, ...], Any]]
+                ) -> Iterator[Tuple[int, Tuple[Any, ...], Any]]:
+        """``(first sequence, values, merged annotations)`` per left value
+        the right side holds, in first-seen order."""
+        # key -> [first left sequence number, first values, union]
+        groups: Dict[Tuple[Any, ...], List[Any]] = {}
+        for sequence, values, anns in left_entries:
+            key = _distinct_key(values)
+            entry = groups.get(key)
+            if entry is None:
+                if key not in right_union:
+                    continue
+                groups[key] = entry = [sequence, values, None]
+            entry[2] = _ann_union(entry[2], anns, arity)
+        for key, (sequence, values, left_union) in groups.items():
+            # ``left_union`` is this group's own vector: fold the right in.
+            yield sequence, values, _ann_union(left_union, right_union[key][1],
+                                               arity)
+
+    def fold(right_entries, left_entries):
+        right_union: Dict[Tuple[Any, ...], List[Any]] = {}
+        for _, values, anns in right_entries:
+            hold(right_union, values, anns)
+        return matches(right_union, left_entries)
+
+    def spilled_right(right_union: Dict[Tuple[Any, ...], List[Any]],
+                      rest: Iterable[Row]) -> Iterator[Any]:
         for key, (values, union) in right_union.items():
-            right_files[hash(key) % fanout].append(values, union)
-        for row in right_rest:
-            right_files[_partition(row.values, fanout)].append(
-                row.values, row._annotations)
-        left_files = [spill.new_file() for _ in range(fanout)]
-        sequence = 0
-        for row in left_iter:
-            left_files[_partition(row.values, fanout)].append(
-                (sequence,) + row.values, row._annotations)
-            sequence += 1
-        event["spilled_rows"] = sum(f.rows_written for f in right_files) \
-            + sum(f.rows_written for f in left_files)
-
-        def intersect_partition(right_file: SpillFile,
-                                left_file: SpillFile) -> SpillFile:
-            rmap: Dict[Tuple[Any, ...], Any] = {}
-            for values, anns in right_file.entries():
-                key = _distinct_key(values)
-                rmap[key] = _ann_union(rmap.get(key), anns, arity)
-            right_file.close()
-            # key -> [first left sequence number, first values, union]
-            groups: Dict[Tuple[Any, ...], List[Any]] = {}
-            for tagged, anns in left_file.entries():
-                key = _distinct_key(tagged[1:])
-                entry = groups.get(key)
-                if entry is None:
-                    if key not in rmap:
-                        continue
-                    groups[key] = entry = [tagged[0], tagged[1:], None]
-                entry[2] = _ann_union(entry[2], anns, arity)
-            left_file.close()
-            out = spill.new_file()
-            for key, (sequence_no, values, left_union) in groups.items():
-                merged = emit(values, left_union, rmap[key])
-                out.append((sequence_no,) + values, merged.annotations)
-            return out
-
-        outputs: List[SpillFile] = []
-        for index, pair in enumerate(zip(right_files, left_files)):
-            with spill.stats.timed_partition(event, partition=index) as timing:
-                out = intersect_partition(*pair)
-                timing["rows"] = out.rows_written
-            outputs.append(out)
-
-        def read_back(out: SpillFile):
-            for tagged, anns in out.entries():
-                yield tagged[0], tagged[1:], anns
-
-        merged_entries = heapq.merge(*(read_back(out) for out in outputs),
-                                     key=itemgetter(0))
-        for _, values, anns in merged_entries:
-            yield Row(values, anns if anns is not None
-                      else [set() for _ in range(arity)])
-        for out in outputs:
-            out.close()
+            yield key, 0, values, union
+        right_union.clear()
+        for row in rest:
+            yield _distinct_key(row.values), 0, row.values, row._annotations
 
     def output_rows() -> Iterator[Row]:
         budget = spill.budget_rows if spill is not None else None
-        # Both sides map a distinct key to [first values, annotation union].
         right_union: Dict[Tuple[Any, ...], List[Any]] = {}
         right_count = 0
         right_iter = iter(right[1])
         for row in right_iter:
-            key = _distinct_key(row.values)
-            entry = right_union.get(key)
-            if entry is None:
-                right_union[key] = entry = [row.values, None]
-            entry[1] = _ann_union(entry[1], row._annotations, arity)
+            hold(right_union, row.values, row._annotations)
             right_count += 1
             if budget is not None and right_count > budget:
-                yield from spilled_intersect(right_union, right_iter,
-                                             iter(left[1]))
+                sides = [spilled_right(right_union, right_iter),
+                         _spill_entries({}, left[1], _distinct_key)]
+                for _, values, anns in spill.partitioned(
+                        "intersect", spill.partition_count(input_rows_hint),
+                        _distinct_key, sides, fold, max_depth=1):
+                    yield Row(values, anns)
                 return
-        left_state: Dict[Tuple[Any, ...], List[Any]] = {}
-        for row in left[1]:
-            key = _distinct_key(row.values)
-            if key not in right_union:
-                continue
-            entry = left_state.get(key)
-            if entry is None:
-                left_state[key] = entry = [row.values, None]
-            entry[1] = _ann_union(entry[1], row._annotations, arity)
-        for key, (values, left_union) in left_state.items():
-            yield emit(values, left_union, right_union[key][1])
+        left_entries = ((0, row.values, row._annotations) for row in left[1])
+        for _, values, anns in matches(right_union, left_entries):
+            yield Row(values, anns)
     return schema, output_rows()
 
 
@@ -2060,62 +1871,26 @@ def except_(left: Relation, right: Relation,
     """EXCEPT: tuples of the left side absent from the right, annotations kept.
 
     A right side beyond ``spill.budget_rows`` hash-partitions both inputs on
-    the value tuple; each partition filters its left rows against its right
-    value set independently and a merge on the left sequence numbers
-    restores input order before the (already spill-aware) DISTINCT on top.
+    the value tuple (one level: a partition is held whole); each partition
+    filters its left rows against its right value set independently and a
+    merge on the left sequence numbers restores input order before the
+    (already spill-aware) DISTINCT on top.
     """
     _check_arity(left, right, "EXCEPT")
     schema = left[0]
 
-    def spilled_except(right_values: Dict[Tuple[Any, ...], Tuple[Any, ...]],
-                       right_rest: Iterator[Row],
-                       left_iter: Iterator[Row]) -> Iterator[Row]:
-        fanout = spill.partition_count(input_rows_hint)
-        event = spill.stats.record("except", partitions=fanout)
-        right_files = [spill.new_file() for _ in range(fanout)]
+    def fold(right_entries, left_entries):
+        excluded = {_distinct_key(values) for _, values, _ in right_entries}
+        return (entry for entry in left_entries
+                if _distinct_key(entry[1]) not in excluded)
+
+    def spilled_right(right_values: Dict[Tuple[Any, ...], Tuple[Any, ...]],
+                      rest: Iterable[Row]) -> Iterator[Any]:
         for key, values in right_values.items():
-            right_files[hash(key) % fanout].append(values, None)
-        for row in right_rest:
-            right_files[_partition(row.values, fanout)].append(row.values,
-                                                               None)
-        left_files = [spill.new_file() for _ in range(fanout)]
-        sequence = 0
-        for row in left_iter:
-            left_files[_partition(row.values, fanout)].append(
-                (sequence,) + row.values, row._annotations)
-            sequence += 1
-        event["spilled_rows"] = sum(f.rows_written for f in right_files) \
-            + sum(f.rows_written for f in left_files)
-
-        def except_partition(right_file: SpillFile,
-                             left_file: SpillFile) -> SpillFile:
-            excluded = {_distinct_key(values)
-                        for values, _ in right_file.entries()}
-            right_file.close()
-            out = spill.new_file()
-            for tagged, anns in left_file.entries():
-                if _distinct_key(tagged[1:]) not in excluded:
-                    out.append(tagged, anns)
-            left_file.close()
-            return out
-
-        outputs: List[SpillFile] = []
-        for index, pair in enumerate(zip(right_files, left_files)):
-            with spill.stats.timed_partition(event, partition=index) as timing:
-                out = except_partition(*pair)
-                timing["rows"] = out.rows_written
-            outputs.append(out)
-
-        def read_back(out: SpillFile):
-            for tagged, anns in out.entries():
-                yield tagged[0], tagged[1:], anns
-
-        merged_entries = heapq.merge(*(read_back(out) for out in outputs),
-                                     key=itemgetter(0))
-        for _, values, anns in merged_entries:
-            yield Row(values, anns)
-        for out in outputs:
-            out.close()
+            yield key, 0, values, None
+        right_values.clear()
+        for row in rest:
+            yield _distinct_key(row.values), 0, row.values, None
 
     def kept() -> Iterator[Row]:
         budget = spill.budget_rows if spill is not None else None
@@ -2127,8 +1902,12 @@ def except_(left: Relation, right: Relation,
             right_values.setdefault(_distinct_key(row.values), row.values)
             right_count += 1
             if budget is not None and right_count > budget:
-                yield from spilled_except(right_values, right_iter,
-                                          iter(left[1]))
+                sides = [spilled_right(right_values, right_iter),
+                         _spill_entries({}, left[1], _distinct_key)]
+                for _, values, anns in spill.partitioned(
+                        "except", spill.partition_count(input_rows_hint),
+                        _distinct_key, sides, fold, max_depth=1):
+                    yield Row(values, anns)
                 return
         for row in left[1]:
             if _distinct_key(row.values) not in right_values:

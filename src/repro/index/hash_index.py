@@ -36,14 +36,14 @@ class HashIndex(Generic[K, V]):
     def num_buckets(self) -> int:
         return len(self._buckets)
 
-    def _bucket_for(self, key: K) -> List[Tuple[K, V]]:
+    def _chain_for(self, key: K) -> List[Tuple[K, V]]:
         index = hash(key) % len(self._buckets)
         self.stats.node_reads += 1
         return self._buckets[index]
 
     # ------------------------------------------------------------------
     def insert(self, key: K, value: V) -> None:
-        bucket = self._bucket_for(key)
+        bucket = self._chain_for(key)
         bucket.append((key, value))
         self.stats.node_writes += 1
         self._size += 1
@@ -61,7 +61,7 @@ class HashIndex(Generic[K, V]):
             self.stats.node_writes += 1
 
     def delete(self, key: K, value: Optional[V] = None) -> int:
-        bucket = self._bucket_for(key)
+        bucket = self._chain_for(key)
         before = len(bucket)
         if value is None:
             bucket[:] = [(k, v) for k, v in bucket if k != key]
@@ -75,7 +75,7 @@ class HashIndex(Generic[K, V]):
 
     # ------------------------------------------------------------------
     def search(self, key: K) -> List[V]:
-        bucket = self._bucket_for(key)
+        bucket = self._chain_for(key)
         return [value for k, value in bucket if k == key]
 
     def items(self) -> Iterator[Tuple[K, V]]:

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.errors import ExecutionError, PlanningError
 from repro.executor.row import OutputSchema, Row
 from repro.sql import ast
-from repro.types.values import compare_values, values_equal
+from repro.types.values import compare_values, hash_key, values_equal
 
 # ---------------------------------------------------------------------------
 # Scalar functions available in expressions
@@ -612,9 +613,11 @@ class AggregateState:
     The one exception is ``DISTINCT``, whose duplicate-detection set is
     inherently O(distinct values) — with a spill manager, a seen-set beyond
     ``spill.budget_rows`` freezes and later candidate values overflow to a
-    temp file, deduplicated by hash partition when the result is computed.
-    ``MIN``/``MAX`` ignore DISTINCT outright (duplicates cannot change the
-    extremum), so they never build a seen-set at all.
+    temp file, deduplicated one partition at a time by
+    :meth:`~repro.storage.spill.SpillManager.partitioned` when the result is
+    computed.  Duplicates are detected on :func:`hash_key`, so every NaN
+    counts once.  ``MIN``/``MAX`` ignore DISTINCT outright (duplicates
+    cannot change the extremum), so they never build a seen-set at all.
     """
 
     def __init__(self, call: ast.FunctionCall, evaluator: Evaluator,
@@ -644,20 +647,19 @@ class AggregateState:
         if value is None:
             return
         if self.distinct:
-            if value in self._seen:
+            key = hash_key(value)
+            if key in self._seen:
                 return
             if self._overflow is not None:
                 # The seen-set is frozen at the budget: unseen candidates go
                 # to disk (possibly duplicated) and accumulate on demand in
                 # :meth:`result` after a partitioned dedup.
-                self._overflow.append((value,), None)
+                self._overflow.append((value,))
                 return
-            self._seen.add(value)
+            self._seen.add(key)
             if self._spill is not None \
                     and len(self._seen) > self._spill.budget_rows:
                 self._overflow = self._spill.new_file()
-                self._event = self._spill.stats.record(
-                    "distinct_aggregate", aggregate=self.name)
         self._accumulate(value)
 
     def _accumulate(self, value: Any) -> None:
@@ -671,32 +673,20 @@ class AggregateState:
             if self._max is None or value > self._max:
                 self._max = value
 
-    def _drain_overflow(self) -> None:
-        """Dedup the spilled candidate values and fold them in.
-
-        One level of hash partitioning bounds each dedup set to roughly
-        ``distinct overflow / fanout``; candidates already in the frozen
-        seen-set were never written, so membership there needs no re-check.
-        """
-        overflow, self._overflow = self._overflow, None
-        self._event["spilled_values"] = overflow.rows_written
-        fanout = self._spill.partition_count(overflow.rows_written)
-        self._event["partitions"] = fanout
-        parts = [self._spill.new_file() for _ in range(fanout)]
-        for (value,), _ in overflow.entries():
-            parts[hash(value) % fanout].append((value,), None)
-        overflow.close()
-        for part in parts:
-            unique: Set[Any] = set()
-            for (value,), _ in part.entries():
-                if value not in unique:
-                    unique.add(value)
-                    self._accumulate(value)
-            part.close()
-
     def result(self) -> Any:
         if self._overflow is not None:
-            self._drain_overflow()
+            # Candidates already in the frozen seen-set were never written,
+            # so each partition dedups against its own values only.
+            overflow, self._overflow = self._overflow, None
+            candidates = ((hash_key(values[0]), 0, values, None)
+                          for values, _ in overflow.entries())
+            for value in self._spill.partitioned(
+                    "distinct_aggregate",
+                    self._spill.partition_count(len(overflow)),
+                    lambda values: hash_key(values[0]), [candidates],
+                    _unique_values, ordered=False, max_depth=1):
+                self._accumulate(value)
+            overflow.close()
         if self.name == "COUNT":
             return self._count
         if self._count == 0:
@@ -708,6 +698,17 @@ class AggregateState:
         if self.name == "MIN":
             return self._min
         return self._max
+
+
+def _unique_values(entries: Iterable[Tuple[int, Tuple[Any, ...], Any]]
+                   ) -> Iterator[Any]:
+    """One spilled partition of DISTINCT-aggregate candidates, deduplicated."""
+    unique: Set[Any] = set()
+    for _, (value,), _ in entries:
+        key = hash_key(value)
+        if key not in unique:
+            unique.add(key)
+            yield value
 
 
 def find_aggregates(expr: ast.Expression) -> List[ast.FunctionCall]:

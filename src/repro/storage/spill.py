@@ -1,21 +1,27 @@
 """Disk spilling for memory-bounded pipeline breakers.
 
-Blocking operators (hash-join build, GROUP BY, DISTINCT, sort) must see all
-of their input before emitting output.  Without a budget they materialize it
-in memory, which caps query size at available RAM.  This module gives them a
-place to put the overflow: :class:`SpillManager` hands out temp-file-backed
-:class:`SpillFile` partitions and tracks :class:`SpillStats` for
-observability (``engine.last_spill``), and the operators implement
-Grace-style partitioning / external sorting on top.
+Blocking operators (hash-join build, GROUP BY, DISTINCT, set operations,
+DISTINCT aggregates, sort) must see all of their input before emitting
+output.  Without a budget they materialize it in memory, which caps query
+size at available RAM.  This module gives them a place to put the overflow:
+:class:`SpillManager` hands out temp-file-backed :class:`SpillFile`
+partitions and tracks :class:`SpillStats` for observability
+(``engine.last_spill``).  The keyed breakers (GROUP BY, DISTINCT, INTERSECT,
+EXCEPT, DISTINCT aggregates) partition through one helper,
+:meth:`SpillManager.partitioned`; the Grace hash join and the external sort
+are different algorithms built on the same files and share only the
+partition rule, :func:`bucket`.
 
 The on-disk record format reuses the storage layer's row serialization
 (:func:`repro.types.values.serialize_row`): each record is
 
 ``<u32 payload length> <payload> <u32 annotation length> [annotations]``
 
-where the payload is ``serialize_row((0,) + values)`` — the same
-tuple-id-prefixed layout the heap file writes (with a dummy id), so reading
-a run of unannotated records back goes through the *vectorized*
+where the payload is ``serialize_row((sequence,) + values)`` — the same
+tuple-id-prefixed layout the heap file writes, with the id slot carrying
+the row's sequence number (``0`` when the writer needs none).  Order
+restoring merges read it back through ``entries(sequenced=True)``, and a
+run of unannotated records goes through the *vectorized*
 :func:`repro.types.values.deserialize_records` shape decoder instead of a
 per-value tag-dispatch loop.  Annotations are interned per query: the
 annotation section stores small integer references into the manager's
@@ -25,12 +31,15 @@ process-local and live only for the duration of one query).
 
 from __future__ import annotations
 
+import heapq
 import struct
 import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.errors import StorageError
 from repro.types.values import deserialize_records, deserialize_row, serialize_row
@@ -122,6 +131,18 @@ def clamp_partitions(estimated_rows: float, budget_rows: int) -> int:
     return max(2, min(MAX_SPILL_PARTITIONS, partitions))
 
 
+def bucket(key: Any, depth: int, fanout: int) -> int:
+    """The partition rule of every hash-partitioning breaker: the bucket of
+    a normalized key (NaN already mapped to ``NAN_KEY``) at re-split
+    ``depth`` (``0`` for the first split), salted so a re-split spreads the
+    rows one bucket held."""
+    return hash((depth, key)) % fanout
+
+
+#: One keyed-breaker input row: ``(key, sequence, values, annotations)``.
+SideEntry = Tuple[Any, int, Tuple[Any, ...], Optional[List[Set[Any]]]]
+
+
 class SpillManager:
     """Per-query spill coordinator: budget, temp files, annotation registry.
 
@@ -163,15 +184,115 @@ class SpillManager:
             return DEFAULT_SPILL_PARTITIONS
         return clamp_partitions(estimated_rows, self.budget_rows)
 
+    # -- keyed breakers ----------------------------------------------------
+    def partitioned(self, operator: str, fanout: int,
+                    key: Callable[[Tuple[Any, ...]], Any],
+                    sides: Sequence[Iterable[SideEntry]],
+                    fold: Callable[..., Iterable[Any]], *,
+                    ordered: bool = True,
+                    max_depth: int = MAX_SPILL_DEPTH) -> Iterator[Any]:
+        """Hash-partition a keyed breaker's inputs; fold each partition in
+        memory.
+
+        ``sides`` yield ``(key, sequence, values, annotations)`` entries and
+        are consumed one after another; ``key(values)`` recomputes an
+        entry's key, needed only to re-split.  Equal keys share a partition
+        on every side, so ``fold(*readers)`` — one ``(sequence, values,
+        annotations)`` reader per side, in write order — is exact per
+        partition.  A partition whose held side (``sides[0]``) exceeds the
+        budget re-splits, up to ``max_depth`` (top-level partitions are
+        depth 1), unless the re-split left every row in one bucket.
+
+        ``ordered``: folds emit ``(sequence, values, annotations)`` in
+        ascending sequence; outputs are spooled to disk and k-way merged on
+        the sequence (a re-split partition merges its sub-outputs first, so
+        no merge's fan-in exceeds one fan-out).  Otherwise fold outputs
+        stream partition after partition.  Records the ``operator`` event:
+        ``partitions``, ``spilled_rows`` and one ``partition_timings`` entry
+        per top-level partition (``rows`` = its output count).
+        """
+        event = self.stats.record(operator, partitions=fanout)
+        files = []
+        for side in sides:
+            side_files = [self.new_file() for _ in range(fanout)]
+            for entry_key, sequence, values, annotations in side:
+                side_files[bucket(entry_key, 0, fanout)].append(
+                    values, annotations, sequence)
+            files.append(side_files)
+        event["spilled_rows"] = sum(handle.rows_written
+                                    for side_files in files
+                                    for handle in side_files)
+
+        def fold_partition(partition: Sequence[SpillFile],
+                           depth: int) -> Iterator[Any]:
+            if len(partition[0]) > self.budget_rows and depth < max_depth:
+                sub_fanout = self.partition_count(len(partition[0]))
+                subs = []
+                for handle in partition:
+                    sub_files = [self.new_file() for _ in range(sub_fanout)]
+                    for sequence, values, annotations in \
+                            handle.entries(sequenced=True):
+                        target = bucket(key(values), depth, sub_fanout)
+                        sub_files[target].append(values, annotations, sequence)
+                    handle.close()
+                    subs.append(sub_files)
+                held = [len(handle) for handle in subs[0]]
+                next_depth = depth + 1 if max(held) < sum(held) else max_depth
+                parts = list(zip(*subs))
+                if ordered:
+                    yield from self._merge([
+                        self._spool(fold_partition(part, next_depth))
+                        for part in parts])
+                else:
+                    for part in parts:
+                        yield from fold_partition(part, next_depth)
+                return
+            yield from fold(*(handle.entries(sequenced=True)
+                              for handle in partition))
+            for handle in partition:
+                handle.close()
+
+        partitions = list(zip(*files))
+        if not ordered:
+            for index, partition in enumerate(partitions):
+                with self.stats.timed_partition(event, partition=index,
+                                                rows=0) as timing:
+                    for item in fold_partition(partition, 1):
+                        timing["rows"] += 1
+                        yield item
+            return
+        outputs = []
+        for index, partition in enumerate(partitions):
+            with self.stats.timed_partition(event, partition=index) as timing:
+                outputs.append(self._spool(fold_partition(partition, 1)))
+                timing["rows"] = len(outputs[-1])
+        yield from self._merge(outputs)
+
+    def _spool(self, triples: Iterable[Tuple[Any, ...]]) -> "SpillFile":
+        """Write ``(sequence, values, annotations)`` triples to a new file."""
+        out = self.new_file()
+        append = out.append
+        for sequence, values, annotations in triples:
+            append(values, annotations, sequence)
+        return out
+
+    @staticmethod
+    def _merge(outputs: List["SpillFile"]) -> Iterator[Tuple[Any, ...]]:
+        """K-way merge sequence-ordered files on their sequence numbers."""
+        yield from heapq.merge(*(out.entries(sequenced=True)
+                                 for out in outputs), key=itemgetter(0))
+        for out in outputs:
+            out.close()
+
 
 class SpillFile:
     """One temp-file-backed run/partition of spilled rows.
 
-    Write with :meth:`append`, then read back *once* with :meth:`entries`
-    (``(values, annotations)`` pairs in write order).  The underlying file
-    is an anonymous ``tempfile.TemporaryFile``: it is unlinked from the
-    filesystem immediately, so an abandoned iterator can never leak a file
-    past process exit.
+    Write with :meth:`append`, then read back with :meth:`entries` in write
+    order (every read rewinds).  The underlying file is an anonymous
+    ``tempfile.TemporaryFile``: it is unlinked from the filesystem
+    immediately, so an abandoned iterator can never leak a file past
+    process exit.
     """
 
     __slots__ = ("manager", "rows_written", "bytes_written", "_file", "_closed")
@@ -189,8 +310,9 @@ class SpillFile:
 
     # -- writing ---------------------------------------------------------
     def append(self, values: Tuple[Any, ...],
-               annotations: Optional[Sequence[Set[Any]]] = None) -> None:
-        payload = serialize_row((0,) + tuple(values))
+               annotations: Optional[Sequence[Set[Any]]] = None,
+               sequence: int = 0) -> None:
+        payload = serialize_row((sequence,) + tuple(values))
         if annotations is not None and any(annotations):
             ann_payload = self._encode_annotations(annotations)
         else:
@@ -230,8 +352,10 @@ class SpillFile:
         return vector
 
     # -- reading ---------------------------------------------------------
-    def entries(self) -> Iterator[Tuple[Tuple[Any, ...], Optional[List[Set[Any]]]]]:
-        """One-shot read-back: ``(values, annotation vector | None)`` pairs.
+    def entries(self, sequenced: bool = False) -> Iterator[Tuple[Any, ...]]:
+        """Read back in write order: ``(values, annotation vector | None)``
+        pairs, or ``(sequence, values, annotations)`` triples when
+        ``sequenced``.
 
         Runs of unannotated records are decoded through the vectorized
         ``deserialize_records`` shape decoder; annotated records fall back
@@ -241,6 +365,14 @@ class SpillFile:
         handle.flush()
         handle.seek(0)
         pending: List[bytes] = []
+
+        def decoded() -> List[Tuple[Any, ...]]:
+            if sequenced:
+                return [(sequence, values, None) for sequence, values
+                        in deserialize_records(pending)]
+            return [(values, None) for values
+                    in deserialize_records(pending, with_tuple_ids=False)]
+
         while True:
             header = handle.read(4)
             if len(header) < 4:
@@ -251,20 +383,20 @@ class SpillFile:
             if ann_length == 0:
                 pending.append(payload)
                 if len(pending) >= _READ_BATCH_ROWS:
-                    for values in deserialize_records(pending,
-                                                      with_tuple_ids=False):
-                        yield values, None
+                    yield from decoded()
                     pending = []
                 continue
             if pending:
-                for values in deserialize_records(pending, with_tuple_ids=False):
-                    yield values, None
+                yield from decoded()
                 pending = []
-            ann_payload = handle.read(ann_length)
-            yield deserialize_row(payload)[1:], self._decode_annotations(ann_payload)
+            record = deserialize_row(payload)
+            annotations = self._decode_annotations(handle.read(ann_length))
+            if sequenced:
+                yield record[0], record[1:], annotations
+            else:
+                yield record[1:], annotations
         if pending:
-            for values in deserialize_records(pending, with_tuple_ids=False):
-                yield values, None
+            yield from decoded()
 
     def close(self) -> None:
         if not self._closed:

@@ -72,6 +72,22 @@ def values_equal(left: Any, right: Any) -> Optional[bool]:
     return cmp == 0
 
 
+#: Canonical stand-in for NaN in hash keys.  Python's ``dict`` and ``set``
+#: treat distinct NaN objects as unequal (``hash(nan)`` is per-object), but
+#: :func:`compare_values` orders NaN equal to itself, so every hashed
+#: operator (hash join, GROUP BY, DISTINCT, set operations, DISTINCT
+#: aggregates, spill partitioning) keys NaN through this one object.
+NAN_KEY = object()
+
+
+def hash_key(value: Any) -> Any:
+    """``value`` as a dict/set key that agrees with :func:`compare_values`
+    equality: every NaN maps to :data:`NAN_KEY`."""
+    if isinstance(value, float) and value != value:
+        return NAN_KEY
+    return value
+
+
 class SortKey:
     """Total-order sort key that places NULLs first and handles mixed types."""
 

@@ -285,6 +285,28 @@ class TestSetOperationNaN:
             ["nan", "2.0"]
 
 
+@pytest.mark.parametrize("budget", [None, 1, 2],
+                         ids=["in_memory", "nan_overflows", "nan_held"])
+def test_distinct_aggregates_count_nan_once(budget):
+    """COUNT/SUM(DISTINCT) skip NULL, drop duplicates and count every NaN
+    once (NaN = NaN, as in DISTINCT and GROUP BY), whether the NaNs meet in
+    the in-memory seen-set (budget 2) or only in the spilled overflow
+    (budget 1 freezes the seen-set before the first NaN)."""
+    db = Database(memory_budget_rows=budget)
+    db.execute("CREATE TABLE t (x FLOAT, y INTEGER)")
+    rows = [(1.0, 1), (2.0, 1), (None, None), (NAN, 2), (1.0, 5), (NAN, 2),
+            (2.0, 5), (NAN, 1)]
+    for x, y in rows:
+        db.table("t").insert_row({"x": x, "y": y})
+    ((count_x, sum_x, count_y, sum_y),) = db.query(
+        "SELECT COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(DISTINCT y), "
+        "SUM(DISTINCT y) FROM t").values()
+    assert (count_x, count_y, sum_y) == (3, 3, 8)
+    assert math.isnan(sum_x)
+    events = db.engine.last_spill.events("distinct_aggregate")
+    assert len(events) == (0 if budget is None else 4)
+
+
 # ---------------------------------------------------------------------------
 # The acceptance proof: bounded memory, identical answers, reported spill
 # ---------------------------------------------------------------------------
@@ -678,12 +700,17 @@ def spill_db() -> Database:
 @pytest.mark.parametrize("consumer", CONSUMERS)
 def test_spilled_matches_in_memory(spill_db, shape, strategy, consumer):
     """The budgeted run agrees with the unbudgeted in-memory run under every
-    strategy and result consumer — values and annotation identity, as a
-    multiset (spilling may legitimately reorder shapes without ORDER BY)."""
+    strategy and result consumer — values and annotation identity.  The
+    sequence-merging breakers (DISTINCT, INTERSECT, EXCEPT) must also keep
+    the exact in-memory order; the other shapes compare as a multiset
+    (a spilled join or GROUP BY emits in partition order)."""
     query = SPILL_SHAPES[shape]
     spilled = run_shape(spill_db, query, BUDGET, strategy, consumer)
     in_memory = run_shape(spill_db, query, None, strategy, consumer)
-    assert sorted(spilled, key=repr) == sorted(in_memory, key=repr)
+    if shape in ("distinct", "intersect", "except"):
+        assert spilled == in_memory
+    else:
+        assert sorted(spilled, key=repr) == sorted(in_memory, key=repr)
 
 
 def test_matrix_actually_spills(spill_db):
@@ -722,7 +749,7 @@ def test_every_spilling_operator_records_partition_timings(spill_db):
     its wall-clock ``seconds``, per processed partition / spilled run."""
     events = {}
     for shape in ("join_streamed", "group_by", "distinct", "order_by",
-                  "intersect", "except"):
+                  "intersect", "except", "distinct_aggregate"):
         # A tight budget gives the join a wide fan-out beside its resident
         # (hybrid) partition 0.
         budget = 10 if shape == "join_streamed" else BUDGET
@@ -733,7 +760,7 @@ def test_every_spilling_operator_records_partition_timings(spill_db):
     assert join["hybrid"] is True and join["partitions"] >= 4
     assert join["build_rows"] >= join["resident_build_rows"] > 0
     for operator in ("hash_join", "group_by", "distinct", "intersect",
-                     "except"):
+                     "except", "distinct_aggregate"):
         event = events[operator]
         timings = event["partition_timings"]
         assert all(set(t) == {"partition", "rows", "seconds"} for t in timings)
