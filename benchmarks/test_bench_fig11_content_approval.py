@@ -37,7 +37,7 @@ def build(monitored: bool = True):
 
 
 def run_member_workload(db, rng, num_ops=NUM_OPS):
-    member = db.session("lab_member")
+    member = db.connect(user="lab_member")
     next_id = 1000
     for step in range(num_ops):
         choice = step % 3
@@ -82,7 +82,7 @@ def test_full_disapproval_restores_monitored_updates():
     """Disapproving every UPDATE restores the original sequences."""
     db, rng = build()
     original = dict((gid, seq) for gid, _, seq in db.query("SELECT * FROM Gene").values())
-    member = db.session("lab_member")
+    member = db.connect(user="lab_member")
     for gid in list(original)[:10]:
         member.execute(f"UPDATE Gene SET GSequence = '{dna_sequence(40, rng)}' "
                        f"WHERE GID = '{gid}'")
@@ -94,7 +94,7 @@ def test_full_disapproval_restores_monitored_updates():
 
 def test_bench_monitored_update(benchmark):
     db, rng = build(monitored=True)
-    member = db.session("lab_member")
+    member = db.connect(user="lab_member")
 
     def run():
         gid = f"JW{rng.randrange(30):04d}"
@@ -107,7 +107,7 @@ def test_bench_monitored_update(benchmark):
 
 def test_bench_unmonitored_update(benchmark):
     db, rng = build(monitored=False)
-    member = db.session("lab_member")
+    member = db.connect(user="lab_member")
 
     def run():
         gid = f"JW{rng.randrange(30):04d}"
@@ -120,7 +120,7 @@ def test_bench_unmonitored_update(benchmark):
 
 def test_bench_disapprove_rollback(benchmark):
     db, rng = build()
-    member = db.session("lab_member")
+    member = db.connect(user="lab_member")
     for index in range(200):
         gid = f"JW{index % 30:04d}"
         member.execute(f"UPDATE Gene SET GSequence = '{dna_sequence(40, rng)}' "

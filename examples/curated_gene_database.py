@@ -11,13 +11,6 @@ Run with:  python examples/curated_gene_database.py
 from __future__ import annotations
 
 import random
-import warnings
-
-# These examples demo the legacy A-SQL string facade on purpose
-# (annotation/authorization statements take no parameters); see
-# docs/API.md and examples/quickstart.py for the DB-API surface.
-warnings.filterwarnings("ignore", category=DeprecationWarning)
-
 from datetime import datetime
 
 from repro import Database
@@ -26,7 +19,8 @@ from repro.workloads import dna_sequence
 
 def load_from_sources(db: Database, rng: random.Random) -> None:
     """Integration tools load genes from two source databases with provenance."""
-    db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+    cur = db.connect().cursor()
+    cur.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
     db.provenance.register_tool("regulondb-loader")
     db.provenance.register_tool("genobase-loader")
     loads = [("RegulonDB", "regulondb-loader", 0, 8),
@@ -34,11 +28,9 @@ def load_from_sources(db: Database, rng: random.Random) -> None:
     for source, tool, start, end in loads:
         tuple_ids = []
         for index in range(start, end):
-            summary = db.execute(
-                f"INSERT INTO Gene VALUES ('JW{index:04d}', 'g{index}', "
-                f"'{dna_sequence(45, rng)}')"
-            )
-            tuple_ids.extend(summary.details["tuple_ids"])
+            cur.execute("INSERT INTO Gene VALUES (?, ?, ?)",
+                        (f"JW{index:04d}", f"g{index}", dna_sequence(45, rng)))
+            tuple_ids.append(cur.lastrowid)
         cells = db.annotations.cells_for("Gene", tuple_ids)
         db.provenance.record("Gene", cells, source=source, operation="copy",
                              agent=tool, program=tool,
@@ -48,12 +40,14 @@ def load_from_sources(db: Database, rng: random.Random) -> None:
 
 def curate(db: Database, rng: random.Random) -> None:
     """Lab members update sequences; the administrator reviews the changes."""
-    db.execute("GRANT SELECT, INSERT, UPDATE, DELETE ON Gene TO lab_members")
+    cur = db.connect().cursor()
+    cur.execute("GRANT SELECT, INSERT, UPDATE, DELETE ON Gene TO lab_members")
     db.access.create_group("lab_members", ["alice", "bob"])
-    db.execute("START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY lab_admin")
+    cur.execute("START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY lab_admin")
     db.access.add_superuser("lab_admin")
 
-    alice, bob = db.session("alice"), db.session("bob")
+    # Each member's statements run on a connection bound to that user.
+    alice, bob = db.connect(user="alice"), db.connect(user="bob")
     alice.execute("UPDATE Gene SET GSequence = 'ATG" + "C" * 20 + "' WHERE GID = 'JW0001'")
     bob.execute(f"UPDATE Gene SET GSequence = '{dna_sequence(45, rng)}' "
                 "WHERE GID = 'JW0002'")
@@ -76,7 +70,8 @@ def curate(db: Database, rng: random.Random) -> None:
             db.approval.approve(op.op_id, "lab_admin")
             print(f"  -> approved #{op.op_id}")
 
-    restored = db.query("SELECT GSequence FROM Gene WHERE GID = 'JW0003'").values()[0][0]
+    cur.execute("SELECT GSequence FROM Gene WHERE GID = ?", ("JW0003",))
+    restored = cur.fetchone()[0]
     print(f"\nJW0003 sequence after disapproval rollback: {restored[:20]}... "
           f"(original restored: {set(restored) != {'N'}})")
 
@@ -92,12 +87,13 @@ def audit(db: Database) -> None:
     print(f"\ncurrent source of the first gene's sequence: {record.source} "
           f"(loaded {record.time.date()} by {record.program})")
 
-    lineage = db.query(
+    cur = db.connect().cursor()
+    cur.execute(
         "SELECT GID FROM Gene ANNOTATION(provenance) "
         "AWHERE annotation.value LIKE '%GenoBase%'"
     )
     print(f"genes whose provenance mentions GenoBase: "
-          f"{[v[0] for v in lineage.values()]}")
+          f"{[row[0] for row in cur.fetchall()]}")
     print(f"\napproval log statistics: {db.approval.statistics()}")
 
 

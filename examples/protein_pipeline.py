@@ -13,13 +13,6 @@ Run with:  python examples/protein_pipeline.py
 from __future__ import annotations
 
 import random
-import warnings
-
-# These examples demo the legacy A-SQL string facade on purpose
-# (annotation/authorization statements take no parameters); see
-# docs/API.md and examples/quickstart.py for the DB-API surface.
-warnings.filterwarnings("ignore", category=DeprecationWarning)
-
 
 from repro import Database
 from repro.workloads import build_gene_protein_pipeline, dna_sequence
@@ -39,6 +32,7 @@ def main() -> None:
     rng = random.Random(2026)
     db = Database()
     build_gene_protein_pipeline(db, num_genes=8, seed=17)
+    cur = db.connect().cursor()
 
     print("registered procedural dependency rules:")
     for rule in db.tracker.rules:
@@ -49,19 +43,21 @@ def main() -> None:
 
     # -- a gene sequence is re-sequenced -------------------------------------
     print("\nre-sequencing gene JW0002 ...")
-    summary = db.execute(
-        f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = 'JW0002'"
-    )
-    print(f"  re-computed automatically : {summary.details['recomputed']}")
-    print(f"  marked outdated           : {summary.details['marked_outdated']}")
+    protein = "SELECT PName, PSequence FROM Protein WHERE GID = ?"
+    before = cur.execute(protein, ("JW0002",)).fetchone()
+    cur.execute("UPDATE Gene SET GSequence = ? WHERE GID = ?",
+                (dna_sequence(60, rng), "JW0002"))
+    after = cur.execute(protein, ("JW0002",)).fetchone()
+    print(f"  re-computed automatically : Protein {after[0]} PSequence "
+          f"{before[1][:12]}... -> {after[1][:12]}...")
     print("outdated items after the update:")
     show_outdated(db)
 
     # -- outdated status rides along with query answers -----------------------
-    result = db.query("SELECT PName, PFunction FROM Protein")
+    cur.execute("SELECT PName, PFunction FROM Protein")
     print("\nquerying Protein — answers involving outdated items carry a warning:")
-    for index, row in enumerate(result.rows):
-        bodies = result.annotation_bodies(index)
+    for row in cur.fetchall():
+        bodies = sorted(a.body for a in row.all_annotations())
         marker = " <-- " + bodies[0] if bodies else ""
         print(f"  {row.values[0]:<10} {row.values[1]}{marker}")
 
@@ -86,8 +82,8 @@ def main() -> None:
         ("Protein", 0, "PFunction"), ("Protein", 1, "PFunction"),
         procedure="curator analogy", executable=False,
     )
-    db.execute("UPDATE Protein SET PFunction = 'Cell division' WHERE PName = "
-               f"'{db.table('Protein').read_cell(0, 'PName')}'")
+    cur.execute("UPDATE Protein SET PFunction = ? WHERE PName = ?",
+                ("Cell division", db.table("Protein").read_cell(0, "PName")))
     show_outdated(db)
 
 

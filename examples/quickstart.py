@@ -9,24 +9,21 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import warnings
-
 import repro
 from repro import Database
 from repro.annotations.xml_utils import annotation_text
 
-# This quickstart drives the A-SQL surface through the legacy Database
-# facade on purpose (annotation statements take no parameters); the DB-API
-# section below shows the preferred cursor surface.  Silence the shim
-# warnings so the demo output stays readable.
-warnings.filterwarnings("ignore", category=DeprecationWarning)
+
+def bodies_of(annotations) -> list:
+    return sorted(annotation.body for annotation in annotations)
 
 
 def main() -> None:
     db = Database()
+    cur = db.connect().cursor()
 
     # -- schema and annotation tables -------------------------------------
-    db.execute_script("""
+    cur.executescript("""
         CREATE TABLE DB1_Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE);
         CREATE TABLE DB2_Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE);
         CREATE ANNOTATION TABLE GAnnotation ON DB1_Gene;
@@ -34,7 +31,7 @@ def main() -> None:
     """)
 
     # -- data (the genes of Figure 2) ---------------------------------------
-    db.execute_script("""
+    cur.executescript("""
         INSERT INTO DB1_Gene VALUES
             ('JW0080', 'mraW', 'ATGATGGAAAA'),
             ('JW0082', 'ftsI', 'ATGAAAGCAGC'),
@@ -49,76 +46,76 @@ def main() -> None:
     """)
 
     # -- annotations at multiple granularities (A1-A3, B3, B5) ----------------
-    db.execute("""
+    cur.execute("""
         ADD ANNOTATION TO DB1_Gene.GAnnotation
         VALUE 'These genes are published in J. Bacteriology'
         ON (SELECT G.GID, G.GName FROM DB1_Gene G WHERE G.GID IN ('JW0080', 'JW0055'))
     """)
-    db.execute("""
+    cur.execute("""
         ADD ANNOTATION TO DB1_Gene.GAnnotation
         VALUE 'These genes were obtained from RegulonDB'
         ON (SELECT G.* FROM DB1_Gene G)
     """)
-    db.execute("""
+    cur.execute("""
         ADD ANNOTATION TO DB1_Gene.GAnnotation
         VALUE 'Involved in methyltransferase activity'
         ON (SELECT G.GSequence FROM DB1_Gene G WHERE G.GID = 'JW0080')
     """)
-    db.execute("""
+    cur.execute("""
         ADD ANNOTATION TO DB2_Gene.GAnnotation
         VALUE '<Annotation>obtained from GenoBase</Annotation>'
         ON (SELECT G.GSequence FROM DB2_Gene G)
     """)
-    db.execute("""
+    cur.execute("""
         ADD ANNOTATION TO DB2_Gene.GAnnotation
         VALUE 'This gene has an unknown function'
         ON (SELECT G.* FROM DB2_Gene G WHERE GID = 'JW0080')
     """)
 
     # -- the paper's motivating query: common genes WITH their annotations ----
-    result = db.query("""
+    cur.execute("""
         SELECT GID, GName, GSequence FROM DB1_Gene ANNOTATION(GAnnotation)
         INTERSECT
         SELECT GID, GName, GSequence FROM DB2_Gene ANNOTATION(GAnnotation)
     """)
     print("Genes common to DB1_Gene and DB2_Gene (one A-SQL statement):")
-    for index, row in enumerate(result.rows):
+    for row in cur.fetchall():
         print(f"  {row.values[0]}  {row.values[1]}")
         for body in sorted(annotation_text(a.body) for a in row.all_annotations()):
             print(f"      - {body}")
 
     # -- annotation-based selection and filtering -----------------------------
-    lineage = db.query("""
+    cur.execute("""
         SELECT GID FROM DB2_Gene ANNOTATION(GAnnotation)
         AWHERE annotation.value LIKE '%GenoBase%'
     """)
     print(f"\nGenes whose lineage mentions GenoBase: "
-          f"{[v[0] for v in lineage.values()]}")
+          f"{[row[0] for row in cur.fetchall()]}")
 
-    promoted = db.query("""
+    promoted = cur.execute("""
         SELECT GID PROMOTE (GSequence) FROM DB1_Gene ANNOTATION(GAnnotation)
-        WHERE GID = 'JW0080'
-    """)
+        WHERE GID = ?
+    """, ("JW0080",)).fetchone()
     print("\nPROMOTE copies the sequence annotations onto the projected GID:")
-    print(f"  {promoted.annotation_bodies(0, 'GID')}")
+    print(f"  {bodies_of(promoted.annotations[0])}")
 
     # -- archiving stale annotations -------------------------------------------
-    db.execute("""
+    cur.execute("""
         ARCHIVE ANNOTATION FROM DB2_Gene.GAnnotation
         ON (SELECT G.* FROM DB2_Gene G WHERE GID = 'JW0080')
     """)
-    after = db.query(
-        "SELECT GID FROM DB2_Gene ANNOTATION(GAnnotation) WHERE GID = 'JW0080'"
-    )
+    after = cur.execute(
+        "SELECT GID FROM DB2_Gene ANNOTATION(GAnnotation) WHERE GID = ?",
+        ("JW0080",)).fetchone()
     print(f"\nAnnotations on JW0080 after archiving: "
-          f"{after.annotation_bodies(0) or '(none)'}")
+          f"{bodies_of(after.all_annotations()) or '(none)'}")
 
     # -- EXPLAIN: pushed predicates and index access paths ---------------------
     # The planner pushes single-table WHERE conjuncts down to the scans,
     # attaches multi-table residual conjuncts to the lowest covering join,
     # and — once an index covers the join key — probes it per outer row with
     # an index-nested-loop join instead of scanning the whole inner table.
-    db.execute("CREATE INDEX ix_db2_gid ON DB2_Gene (GID) USING btree")
+    cur.execute("CREATE INDEX ix_db2_gid ON DB2_Gene (GID) USING btree")
     print("\nEXPLAIN with a pushed predicate and an index-nested-loop join:")
     explained = db.explain("""
         SELECT a.GID, b.GName FROM DB1_Gene a, DB2_Gene b
@@ -150,8 +147,7 @@ def main() -> None:
     # and filters/projections run as fused, vectorized passes per batch
     # (EngineConfig.batch_size), while this stream surface still hands out
     # one row per pull.
-    stream = db.stream("SELECT GID, GName FROM DB2_Gene")
-    first = next(stream)
+    first = cur.execute("SELECT GID, GName FROM DB2_Gene").fetchone()
     print(f"\nFirst row pulled from the streaming pipeline: {first.values}")
 
     # -- batch mode, range scans, and disk spilling at scale -------------------
@@ -185,12 +181,11 @@ def demo_providers() -> None:
             handle.write(f"{i},C{i % 4},{i * 12.5}\n")
 
     remote_path = os.path.join(workdir, "crm.db")
-    with Database(remote_path) as remote:
+    with repro.connect(remote_path) as remote:
         remote.execute("CREATE TABLE customer (cust TEXT, region TEXT)")
-        for i in range(4):
-            remote.execute(
-                f"INSERT INTO customer VALUES ('C{i}', "
-                f"'{'east' if i % 2 else 'west'}')")
+        remote.executemany("INSERT INTO customer VALUES (?, ?)",
+                           [(f"C{i}", "east" if i % 2 else "west")
+                            for i in range(4)])
         remote.execute("CREATE ANNOTATION TABLE note ON customer")
         remote.execute(
             "ADD ANNOTATION TO customer.note VALUE 'verified account' "
@@ -350,15 +345,16 @@ def demo_batches_and_spilling() -> None:
     # memory_budget_rows bounds what any pipeline breaker (hash-join build,
     # GROUP BY, DISTINCT, sort) may hold in memory before spilling.
     db = Database(batch_size=256, memory_budget_rows=500)
-    db.execute("CREATE TABLE reads (rid INTEGER PRIMARY KEY, sample INTEGER, "
-               "score FLOAT)")
-    db.execute("CREATE TABLE qc (rid INTEGER PRIMARY KEY, passed INTEGER)")
+    cur = db.connect().cursor()
+    cur.execute("CREATE TABLE reads (rid INTEGER PRIMARY KEY, sample INTEGER, "
+                "score FLOAT)")
+    cur.execute("CREATE TABLE qc (rid INTEGER PRIMARY KEY, passed INTEGER)")
     reads, qc = db.table("reads"), db.table("qc")
     for i in range(4_000):
         reads.insert_row({"rid": i, "sample": i % 40, "score": (i * 37) % 1000 * 0.1})
         qc.insert_row({"rid": i, "passed": i % 3})
-    db.execute("CREATE INDEX ix_reads_score ON reads (score) USING btree")
-    db.execute("ANALYZE")
+    cur.execute("CREATE INDEX ix_reads_score ON reads (score) USING btree")
+    cur.execute("ANALYZE")
 
     # A selective range predicate on the indexed column becomes a B-tree
     # IndexRangeScan; the matching ORDER BY costs no sort at all.
@@ -378,7 +374,7 @@ def demo_batches_and_spilling() -> None:
 
     # Executing it really spills: partitions go to temp files and come back,
     # and engine.last_spill reports what happened.
-    result = db.query(join)
+    result = cur.execute(join).fetchall()
     stats = db.engine.last_spill
     print(f"\nJoin over budget returned {len(result)} rows; spill activity:")
     for event in stats.operators:
@@ -388,8 +384,8 @@ def demo_batches_and_spilling() -> None:
           f"{stats.spilled_bytes / 1e3:.0f} KB")
 
     # GROUP BY over the budget partitions on the group key the same way.
-    summary = db.query("SELECT sample, COUNT(*), AVG(score) FROM reads "
-                       "GROUP BY sample")
+    summary = cur.execute("SELECT sample, COUNT(*), AVG(score) FROM reads "
+                          "GROUP BY sample").fetchall()
     events = [e for e in db.engine.last_spill.operators
               if e["operator"] == "group_by"]
     print(f"\nGROUP BY over budget: {len(summary)} groups via "

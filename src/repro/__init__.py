@@ -14,8 +14,14 @@ SELECT results lazily:
 >>> cur.fetchone().values
 ('JW0080',)
 
-The lower-level :class:`Database` facade remains available (A-SQL annotation
-statements, engine knobs, direct table access); its string entry points
+The same :class:`Connection` and :class:`Cursor` serve a remote database:
+``repro.client.connect(port=...)`` returns a
+:class:`~repro.client.NetworkConnection`, a :class:`Connection` whose
+transport is a socket to :mod:`repro.server`.
+
+The lower-level :class:`Database` facade remains available (engine knobs,
+direct table access, the bdbms managers); ``db.connect(user=...)`` runs
+statements as a given user, and its string entry points
 (``db.execute(sql)``) are deprecated shims over the same engine.
 
 Sub-packages mirror the paper's architecture: ``annotations``, ``provenance``,
@@ -24,7 +30,7 @@ SP-GiST framework and the SBC-tree), and the relational substrate
 (``storage``, ``catalog``, ``sql``, ``planner``, ``executor``, ``dbapi``).
 """
 
-from repro.core.database import Database, Session
+from repro.core.database import Database
 from repro.core.errors import (
     BdbmsError,
     DataError,
@@ -72,7 +78,6 @@ __all__ = [
     "NotSupportedError",
     # Engine facade
     "Database",
-    "Session",
     "BdbmsError",
     "EngineConfig",
     "ExecutionSummary",

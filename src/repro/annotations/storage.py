@@ -72,9 +72,6 @@ class AnnotationLinkageStore:
         """Return every cell covered by ``ann_id`` (a full scan of the store)."""
         raise NotImplementedError
 
-    def annotation_ids(self) -> Set[int]:
-        return {row[0] for _, row in self.backing.scan()}
-
     # -- measurement ---------------------------------------------------------
     def record_count(self) -> int:
         return len(self.backing)

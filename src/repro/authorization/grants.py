@@ -98,12 +98,6 @@ class AccessControl:
                 removed += 1
         return removed
 
-    def grants_for(self, table: Optional[str] = None) -> List[GrantRecord]:
-        records = list(self._grants.values())
-        if table is not None:
-            records = [r for r in records if r.table.lower() == table.lower()]
-        return sorted(records, key=lambda r: r.key())
-
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------

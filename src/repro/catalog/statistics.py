@@ -137,9 +137,6 @@ class StatisticsManager:
         self._catalog.bump_schema_version()
         return stats
 
-    def analyze_all(self) -> Dict[str, TableStatistics]:
-        return {name: self.analyze(name) for name in self._catalog.table_names()}
-
     @staticmethod
     def _column_statistics(name: str, values: List[Any], nulls: int) -> ColumnStatistics:
         stats = ColumnStatistics(name, null_count=nulls)

@@ -1,11 +1,12 @@
 """Network DB-API client: ``repro.client.connect`` speaks the wire protocol.
 
-Mirrors the in-process DB-API surface (:mod:`repro.dbapi.connection`) over a
-TCP connection to a :class:`repro.server.DatabaseServer`: same Connection /
-Cursor methods, same qmark parameters, same PEP 249 exception hierarchy, and
-the same :class:`~repro.executor.row.Row` result objects — annotations
-included, reconstructed from their wire form so ``row.annotations`` works
-identically on both sides.
+:class:`NetworkConnection` *is a* :class:`repro.Connection` whose transport
+is a TCP connection to a :class:`repro.server.DatabaseServer`, and its
+cursors are plain :class:`repro.Cursor` objects: same methods, same qmark
+parameters (shape and types checked before anything is sent), same PEP 249
+exception hierarchy, and the same :class:`~repro.executor.row.Row` result
+objects — annotations included, reconstructed from their wire form so
+``row.annotations`` works identically on both sides.
 
 Differences from in-process connections, by design:
 
@@ -33,28 +34,20 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import weakref
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core import errors as _errors
-from repro.core.errors import (
-    Error,
-    InterfaceError,
-    OperationalError,
-    ProgrammingError,
-)
+from repro.core.errors import Error, OperationalError
+# PEP 249 module-level attributes: the same as the ``repro`` package's.
+from repro.dbapi import apilevel, paramstyle, threadsafety
+from repro.dbapi.connection import Connection, Cursor
 from repro.executor.row import Row
 from repro.server import protocol
-from repro.sql.parameters import SUPPORTED_PARAMETER_TYPES, _SUPPORTED_NAMES
-
-#: PEP 249 module-level attributes (parity with the ``repro`` package).
-apilevel = "2.0"
-threadsafety = 1  # threads may share the module, not connections
-paramstyle = "qmark"
 
 #: Rows requested per fetch frame when the consumer reads one at a time.
 PREFETCH_ROWS = 128
-
-Description = Tuple[Tuple[Any, ...], ...]
 
 
 def connect(host: str = "127.0.0.1", port: int = 7474, *,
@@ -70,32 +63,6 @@ def connect(host: str = "127.0.0.1", port: int = 7474, *,
                              timeout=timeout)
 
 
-def _check_params(params: Any) -> Tuple[Any, ...]:
-    """Client-side half of ``validate_parameters``: shape and value types.
-
-    The placeholder *count* is only known server-side (the client never
-    parses SQL), but a mapping or an unrepresentable value can and should
-    fail before a network round trip — with the same messages the
-    in-process driver produces.
-    """
-    if params is None:
-        return ()
-    from collections.abc import Sequence as _Sequence
-    if isinstance(params, (str, bytes)) or not isinstance(params, _Sequence):
-        raise ProgrammingError(
-            f"parameters must be given as a sequence (list or tuple), "
-            f"got {type(params).__name__}: this dialect uses qmark ('?') "
-            f"placeholders, not named ones")
-    params = tuple(params)
-    for position, value in enumerate(params):
-        if not isinstance(value, SUPPORTED_PARAMETER_TYPES):
-            raise ProgrammingError(
-                f"parameter {position + 1} has unsupported type "
-                f"{type(value).__name__!r}; supported types: "
-                f"{_SUPPORTED_NAMES}")
-    return params
-
-
 def _raise_response_error(error: Dict[str, Any]) -> None:
     """Re-raise a server error object as its PEP 249 class, annotated with
     the server's ``code`` and ``retryable`` flag."""
@@ -108,26 +75,77 @@ def _raise_response_error(error: Dict[str, Any]) -> None:
     raise exc
 
 
-class NetworkConnection:
-    """A PEP 249 connection over the wire protocol."""
+class _RemoteRows:
+    """The row source of a server-side result, pulled in ``fetch`` frames.
 
-    #: PEP 249 optional extension: exception classes as attributes.
-    Warning = _errors.Warning
-    Error = _errors.Error
-    InterfaceError = _errors.InterfaceError
-    DatabaseError = _errors.DatabaseError
-    DataError = _errors.DataError
-    OperationalError = _errors.OperationalError
-    IntegrityError = _errors.IntegrityError
-    InternalError = _errors.InternalError
-    ProgrammingError = _errors.ProgrammingError
-    NotSupportedError = _errors.NotSupportedError
+    ``next()`` pulls ``max(arraysize, PREFETCH_ROWS)`` rows at a time,
+    ``fetchmany(n)`` pulls what is missing, and ``iter()`` drains the rest
+    in one frame.  The server frees a result once it is drained;
+    :meth:`close` frees an unfinished one.
+    """
+
+    def __init__(self, connection: "NetworkConnection", cursor: Cursor,
+                 response: Dict[str, Any]):
+        self._connection = connection
+        self._cursor = cursor
+        self._result_id = response["result_id"]
+        self.columns: List[str] = response["columns"]
+        self._buffer: Deque[Row] = deque()
+        #: True while the server still holds (undelivered rows of) the result.
+        self._open = True
+
+    def _pull(self, count: int) -> None:
+        """Append up to ``count`` more rows to the buffer (0 = all)."""
+        response = self._connection.request(
+            {"op": "fetch", "result_id": self._result_id, "count": count})
+        for encoded in response.get("rows", []):
+            self._buffer.append(Row(*protocol.decode_row(encoded)))
+        if response.get("done"):
+            self._open = False  # the server auto-freed it
+
+    def __next__(self) -> Row:
+        if not self._buffer and self._open:
+            self._pull(max(self._cursor.arraysize, PREFETCH_ROWS))
+        if not self._buffer:
+            raise StopIteration
+        return self._buffer.popleft()
+
+    def __iter__(self):
+        while self._open:
+            self._pull(0)
+        rows, self._buffer = self._buffer, deque()
+        return iter(rows)
+
+    def fetchmany(self, size: int) -> List[Row]:
+        while len(self._buffer) < size and self._open:
+            self._pull(size - len(self._buffer))
+        return [self._buffer.popleft()
+                for _ in range(min(size, len(self._buffer)))]
+
+    def close(self) -> None:
+        self._buffer.clear()
+        if self._open and not self._connection.closed:
+            self._open = False
+            try:
+                self._connection.request({"op": "close_result",
+                                          "result_id": self._result_id})
+            except Error:
+                pass
+
+
+class NetworkConnection(Connection):
+    """A :class:`repro.Connection` over the wire protocol.
+
+    Beyond the handshake and the frame I/O, it only overrides the transport
+    hooks; the cursor and every PEP 249 method are the in-process ones.
+    """
 
     def __init__(self, host: str, port: int, *, user: str = "admin",
                  token: Optional[str] = None,
                  timeout: Optional[float] = 30.0):
         self.user = user
         self._closed = False
+        self._cursors: "weakref.WeakSet[Cursor]" = weakref.WeakSet()
         #: One request/response exchange at a time per connection.
         self._io_lock = threading.RLock()
         try:
@@ -195,31 +213,38 @@ class NetworkConnection:
         return b"".join(chunks)
 
     # ------------------------------------------------------------------
-    # PEP 249 interface
+    # Transport hooks
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    def _execute(self, cursor: Cursor, sql: str, params: Tuple[Any, ...]
+                 ) -> Tuple[Optional[_RemoteRows], int, Optional[int]]:
+        response = self.request({"op": "execute", "sql": sql,
+                                 "params": protocol.encode_values(params)})
+        if response.get("kind") == "rows":
+            # Queries report -1, as in process: one behaviour.
+            return _RemoteRows(self, cursor, response), -1, None
+        return None, response.get("rowcount", -1), response.get("lastrowid")
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
+    def _executemany(self, sql: str, seq_of_params: List[Tuple[Any, ...]]
+                     ) -> Tuple[int, Optional[int]]:
+        response = self.request(
+            {"op": "executemany", "sql": sql,
+             "params": [protocol.encode_values(params)
+                        for params in seq_of_params]})
+        return response.get("rowcount", -1), response.get("lastrowid")
 
-    def cursor(self) -> "NetworkCursor":
-        self._check_open()
-        return NetworkCursor(self)
+    def _executescript(self, script: str) -> int:
+        return self.request({"op": "script", "sql": script}).get(
+            "rowcount", -1)
 
-    def commit(self) -> None:
+    def _commit(self) -> None:
         self.request({"op": "commit"})
 
-    def rollback(self) -> None:
+    def _rollback(self) -> None:
         self.request({"op": "rollback"})
 
-    def close(self) -> None:
-        """Tell the server goodbye and drop the socket.  Idempotent.  The
-        server rolls back any open transaction on disconnect either way."""
-        if self._closed:
-            return
+    def _close(self) -> None:
+        """Tell the server goodbye and drop the socket.  The server rolls
+        back any open transaction on disconnect either way."""
         try:
             with self._io_lock:
                 self._sock.sendall(protocol.encode_frame({"op": "close"}))
@@ -227,222 +252,8 @@ class NetworkConnection:
         except OSError:
             pass
         finally:
-            self._closed = True
             self._sock.close()
 
-    # -- conveniences (sqlite3-style shortcuts) -------------------------
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> "NetworkCursor":
-        return self.cursor().execute(sql, params)
 
-    def executemany(self, sql: str,
-                    seq_of_params: Iterable[Sequence[Any]]) -> "NetworkCursor":
-        return self.cursor().executemany(sql, seq_of_params)
-
-    def executescript(self, script: str) -> "NetworkCursor":
-        return self.cursor().executescript(script)
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "NetworkConnection":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if not self._closed:
-            try:
-                if exc_type is None:
-                    self.commit()
-                else:
-                    self.rollback()
-            finally:
-                self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"NetworkConnection(user={self.user!r}, {state})"
-
-
-class NetworkCursor:
-    """A PEP 249 cursor fetching batches from a server-side result."""
-
-    def __init__(self, connection: NetworkConnection):
-        self.connection = connection
-        self.arraysize = 1
-        self._closed = False
-        self._columns: Optional[List[str]] = None
-        self._rowcount = -1
-        self._lastrowid: Optional[int] = None
-        self._result_id: Optional[int] = None
-        self._buffer: List[Row] = []
-        self._exhausted = True
-
-    # ------------------------------------------------------------------
-    @property
-    def description(self) -> Optional[Description]:
-        if self._columns is None:
-            return None
-        return tuple((name, None, None, None, None, None, None)
-                     for name in self._columns)
-
-    @property
-    def rowcount(self) -> int:
-        return self._rowcount
-
-    @property
-    def lastrowid(self) -> Optional[int]:
-        return self._lastrowid
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        if self.connection.closed:
-            raise InterfaceError("connection is closed")
-
-    def _reset_results(self) -> None:
-        self._free_result()
-        self._columns = None
-        self._rowcount = -1
-        self._lastrowid = None
-        self._buffer = []
-        self._exhausted = True
-
-    def _free_result(self) -> None:
-        if self._result_id is not None and not self._exhausted \
-                and not self.connection.closed:
-            try:
-                self.connection.request({"op": "close_result",
-                                         "result_id": self._result_id})
-            except Error:
-                pass
-        self._result_id = None
-
-    def _apply_response(self, response: Dict[str, Any]) -> None:
-        if response.get("kind") == "rows":
-            self._result_id = response["result_id"]
-            self._columns = response["columns"]
-            # Parity with the in-process cursor: queries report -1 (the
-            # in-process stream's length is unknown; keep one behavior).
-            self._rowcount = -1
-            self._exhausted = False
-        else:
-            self._rowcount = response.get("rowcount", -1)
-            self._lastrowid = response.get("lastrowid")
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> "NetworkCursor":
-        self._check_open()
-        if not isinstance(sql, str):
-            raise InterfaceError(
-                f"SQL must be a string, got {type(sql).__name__}")
-        request = {"op": "execute", "sql": sql,
-                   "params": protocol.encode_values(_check_params(params))}
-        self._reset_results()
-        self._apply_response(self.connection.request(request))
-        return self
-
-    def executemany(self, sql: str,
-                    seq_of_params: Iterable[Sequence[Any]]) -> "NetworkCursor":
-        self._check_open()
-        request = {"op": "executemany", "sql": sql,
-                   "params": [protocol.encode_values(_check_params(params))
-                              for params in seq_of_params]}
-        self._reset_results()
-        self._apply_response(self.connection.request(request))
-        return self
-
-    def executescript(self, script: str) -> "NetworkCursor":
-        self._check_open()
-        self._reset_results()
-        self._apply_response(self.connection.request(
-            {"op": "script", "sql": script}))
-        return self
-
-    # ------------------------------------------------------------------
-    # Fetching
-    # ------------------------------------------------------------------
-    def _check_results(self) -> None:
-        if self._columns is None:
-            raise ProgrammingError(
-                "no result set: execute a SELECT before fetching")
-
-    def _fetch_from_server(self, count: int) -> None:
-        """Pull up to ``count`` more rows into the local buffer (0 = all)."""
-        if self._exhausted or self._result_id is None:
-            return
-        response = self.connection.request(
-            {"op": "fetch", "result_id": self._result_id, "count": count})
-        for encoded in response.get("rows", []):
-            values, annotations = protocol.decode_row(encoded)
-            self._buffer.append(Row(values, annotations))
-        if response.get("done"):
-            self._exhausted = True
-            self._result_id = None  # the server auto-freed it
-
-    def fetchone(self) -> Optional[Row]:
-        self._check_open()
-        self._check_results()
-        if not self._buffer:
-            self._fetch_from_server(max(self.arraysize, PREFETCH_ROWS))
-        if not self._buffer:
-            return None
-        return self._buffer.pop(0)
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Row]:
-        self._check_open()
-        self._check_results()
-        size = self.arraysize if size is None else size
-        if size <= 0:
-            return []
-        while len(self._buffer) < size and not self._exhausted:
-            self._fetch_from_server(size - len(self._buffer))
-        out, self._buffer = self._buffer[:size], self._buffer[size:]
-        return out
-
-    def fetchall(self) -> List[Row]:
-        self._check_open()
-        self._check_results()
-        while not self._exhausted:
-            self._fetch_from_server(0)
-        out, self._buffer = self._buffer, []
-        return out
-
-    def __iter__(self) -> "NetworkCursor":
-        return self
-
-    def __next__(self) -> Row:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    # ------------------------------------------------------------------
-    def setinputsizes(self, sizes: Sequence[Any]) -> None:  # pragma: no cover
-        """PEP 249 no-op: parameter types are inferred from the values."""
-
-    def setoutputsize(self, size: int,
-                      column: Optional[int] = None) -> None:  # pragma: no cover
-        """PEP 249 no-op: values are never truncated."""
-
-    def close(self) -> None:
-        """Free the server-side result, if any.  Idempotent."""
-        if self._closed:
-            return
-        self._free_result()
-        self._closed = True
-        self._buffer = []
-
-    def __enter__(self) -> "NetworkCursor":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"NetworkCursor({state}, rowcount={self._rowcount})"
-
-
-__all__ = ["connect", "NetworkConnection", "NetworkCursor",
-           "apilevel", "threadsafety", "paramstyle"]
+__all__ = ["connect", "NetworkConnection", "apilevel", "threadsafety",
+           "paramstyle"]

@@ -1,13 +1,13 @@
 """The bdbms facade: one object wiring every subsystem together.
 
 :class:`Database` owns the storage engine, the catalog, and the four bdbms
-managers (annotations, provenance, dependencies, authorization).  The
-preferred SQL surface is the PEP 249 one — ``repro.connect(path)`` or
-:meth:`Database.connect` hand out DB-API connections whose cursors bind
-``?`` parameters and reuse cached plans.  The historical string entry points
-(`execute`, `query`, `stream`) remain as thin delegating shims that warn
-:class:`DeprecationWarning`; :class:`Session` is the legacy user-bound
-facade, rebuilt on top of a :class:`~repro.dbapi.connection.Connection`.
+managers (annotations, provenance, dependencies, authorization).  Its SQL
+surface is the PEP 249 one — ``repro.connect(path)`` or
+:meth:`Database.connect(user=...) <Database.connect>` hand out DB-API
+connections whose cursors bind ``?`` parameters and reuse cached plans; a
+connection is also how statements run as a given user.  The historical
+string entry points (`execute`, `query`, `stream`) remain as thin delegating
+shims that warn :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.authorization.grants import AccessControl
 from repro.catalog.catalog import SystemCatalog
 from repro.core.errors import ExecutionError, ProgrammingError
 from repro.core.transactions import TransactionManager
-from repro.dbapi.connection import Connection, Cursor
+from repro.dbapi.connection import Connection
 from repro.dependencies.tracker import DependencyTracker
 from repro.executor.engine import Engine, EngineConfig, ExecutionSummary
 from repro.executor.row import ResultSet, StreamingResultSet
@@ -283,9 +283,6 @@ class Database:
         """Names of the attached foreign tables (ATTACH ... AS name)."""
         return self.foreign.names()
 
-    def session(self, user: str) -> "Session":
-        return Session(self, user)
-
     def io_statistics(self) -> IoStatistics:
         return self.disk.stats
 
@@ -344,35 +341,3 @@ class Database:
     def __repr__(self) -> str:
         return f"Database(tables={self.table_names()})"
 
-
-class Session:
-    """Legacy user-bound facade, rebuilt on top of :class:`Connection`.
-
-    ``session.connection`` is a full PEP 249 connection for the same user
-    (``session.cursor()`` is a shortcut onto it); the string-based
-    ``execute``/``query`` methods keep their historical return types and are
-    deprecated alongside the :class:`Database` shims they delegate to.
-    """
-
-    def __init__(self, database: Database, user: str):
-        self.database = database
-        self.user = user
-        #: The PEP 249 connection this session rides on (shared engine,
-        #: shared statement/plan caches, not owning the database).
-        self.connection = Connection(database, user=user, owns_database=False)
-
-    def cursor(self) -> Cursor:
-        """A DB-API cursor bound to this session's user."""
-        return self.connection.cursor()
-
-    def execute(self, sql: str) -> ExecutionResult:
-        return self.database.execute(sql, user=self.user)
-
-    def execute_script(self, sql: str) -> List[ExecutionResult]:
-        return self.database.execute_script(sql, user=self.user)
-
-    def query(self, sql: str) -> ResultSet:
-        return self.database.query(sql, user=self.user)
-
-    def __repr__(self) -> str:
-        return f"Session(user={self.user!r})"

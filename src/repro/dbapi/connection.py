@@ -1,8 +1,12 @@
 """PEP 249 (DB-API 2.0) connections and cursors over the bdbms engine.
 
-``connect()`` opens a database and returns a :class:`Connection`; cursors
-execute SQL with qmark (``?``) parameter binding through the engine's
-prepared-statement machinery:
+One :class:`Connection` and one :class:`Cursor` serve both ways of reaching
+the engine.  ``connect()`` opens a database in process;
+:func:`repro.client.connect` returns a
+:class:`~repro.client.NetworkConnection`, the same connection with its
+transport hooks speaking the wire protocol.  Either way, cursors execute SQL
+with qmark (``?``) parameter binding through the engine's prepared-statement
+machinery:
 
 * the SQL text is parsed once per connection (statement LRU);
 * query plans are cached engine-wide per (SQL text, config fingerprint) and
@@ -14,6 +18,13 @@ prepared-statement machinery:
 Errors surface as the PEP 249 hierarchy (``repro.ProgrammingError``,
 ``repro.IntegrityError``, ...), every class of which still derives from
 :class:`~repro.core.errors.BdbmsError`.
+
+The cursor reaches its connection through *transport hooks* — ``_execute``,
+``_executemany``, ``_executescript``, ``_commit``, ``_rollback`` and
+``_close`` — and reads query results from a *row source*: an iterator of
+:class:`~repro.executor.row.Row` with ``columns`` (the output names),
+``fetchmany(n)`` and ``close()``, where ``iter()`` drains the rest.  In
+process the row source is the engine's stream itself.
 """
 
 from __future__ import annotations
@@ -27,7 +38,6 @@ from repro.core.errors import (
     BdbmsError,
     Error,
     InterfaceError,
-    NotSupportedError,
     ProgrammingError,
     map_error,
 )
@@ -54,6 +64,17 @@ def translate_errors():
         raise
     except BdbmsError as exc:
         raise map_error(exc) from exc
+
+
+def _check_sql(sql: Any) -> None:
+    if not isinstance(sql, str):
+        raise InterfaceError(
+            f"SQL must be a string, got {type(sql).__name__}")
+
+
+def _last_tuple_id(summary: Any) -> Optional[int]:
+    tuple_ids = summary.details.get("tuple_ids")
+    return tuple_ids[-1] if tuple_ids else None
 
 
 def connect(path: Optional[str] = None, *, user: str = "admin",
@@ -84,10 +105,11 @@ def connect(path: Optional[str] = None, *, user: str = "admin",
 class Connection:
     """A PEP 249 connection bound to one user identity.
 
-    Wraps a :class:`~repro.core.database.Database` — either one it opened
-    itself (module-level :func:`connect`) or a shared one
+    In process it wraps a :class:`~repro.core.database.Database` — either
+    one it opened itself (module-level :func:`connect`) or a shared one
     (:meth:`Database.connect`); only an owning connection closes the
-    database on :meth:`close`.
+    database on :meth:`close`.  :class:`repro.client.NetworkConnection`
+    overrides the transport hooks and has no ``database``.
     """
 
     #: PEP 249 optional extension: the exception classes as attributes, so
@@ -107,7 +129,8 @@ class Connection:
 
     def __init__(self, database: Any, *, user: str = "admin",
                  owns_database: bool = False):
-        self._database = database
+        #: The underlying :class:`Database` (engine knobs, table access).
+        self.database = database
         self._engine = database.engine
         self.user = user
         self._owns_database = owns_database
@@ -116,11 +139,6 @@ class Connection:
         self._statements: "OrderedDict[str, PreparedStatement]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    @property
-    def database(self):
-        """The underlying :class:`Database` (engine knobs, table access)."""
-        return self._database
-
     @property
     def closed(self) -> bool:
         return self._closed
@@ -131,9 +149,6 @@ class Connection:
 
     def _prepare(self, sql: str) -> PreparedStatement:
         """SQL text -> PreparedStatement, through the per-connection LRU."""
-        if not isinstance(sql, str):
-            raise InterfaceError(
-                f"SQL must be a string, got {type(sql).__name__}")
         prepared = self._statements.get(sql)
         if prepared is not None:
             self._statements.move_to_end(sql)
@@ -165,7 +180,7 @@ class Connection:
         """
         self._check_open()
         with translate_errors():
-            self._database.commit()
+            self._commit()
 
     def rollback(self) -> None:
         """Undo the open transaction (rows, schema, and annotations are
@@ -173,24 +188,18 @@ class Connection:
         matching sqlite3."""
         self._check_open()
         with translate_errors():
-            self._database.rollback()
+            self._rollback()
 
     def close(self) -> None:
-        """Roll back any open transaction, close every cursor, drop cached
-        statements, and (when owning) close the underlying database.
-        Idempotent."""
+        """Roll back any open transaction, close every cursor, and release
+        the transport (an owning in-process connection closes its
+        database).  Idempotent."""
         if self._closed:
             return
         self._closed = True
         for cursor in list(self._cursors):
             cursor.close()
-        self._statements.clear()
-        if self._owns_database:
-            self._database.close()
-        else:
-            # A shared database stays open, but this connection's
-            # uncommitted work must not leak into it.
-            self._database.rollback()
+        self._close()
 
     # -- conveniences (sqlite3-style shortcuts) -------------------------
     def execute(self, sql: str, params: Sequence[Any] = ()) -> "Cursor":
@@ -216,15 +225,96 @@ class Connection:
         back (and propagates).  The connection is then closed either way.
         """
         if not self._closed:
-            if exc_type is None:
-                self.commit()
-            else:
-                self.rollback()
-        self.close()
+            try:
+                if exc_type is None:
+                    self.commit()
+                else:
+                    self.rollback()
+            finally:
+                self.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return f"Connection(user={self.user!r}, {state})"
+        return f"{type(self).__name__}(user={self.user!r}, {state})"
+
+    # ------------------------------------------------------------------
+    # Transport hooks (in process: straight into the engine)
+    # ------------------------------------------------------------------
+    def _execute(self, cursor: "Cursor", sql: str, params: Tuple[Any, ...]
+                 ) -> Tuple[Optional[Any], int, Optional[int]]:
+        """Run one statement: ``(row source or None, rowcount, lastrowid)``.
+
+        ``cursor`` is the caller, for a row source that sizes its fetches
+        by the cursor's ``arraysize``."""
+        prepared = self._prepare(sql)
+        if prepared.is_query:
+            return (self._engine.stream_prepared(prepared, params,
+                                                 user=self.user), -1, None)
+        summary = self._engine.execute_prepared(prepared, params,
+                                                user=self.user)
+        statement = prepared.statement
+        if isinstance(statement, ast.Explain):
+            # EXPLAIN reads like a query: one "plan" row per line of the
+            # plan dump (generic plans render ?N markers).
+            rows = [Row((line,)) for line in summary.message.splitlines()]
+            return (StreamingResultSet(OutputSchema([ColumnInfo("plan")]),
+                                       rows), -1, None)
+        lastrowid = _last_tuple_id(summary) \
+            if isinstance(statement, ast.Insert) else None
+        return None, summary.rows_affected, lastrowid
+
+    def _executemany(self, sql: str, seq_of_params: List[Tuple[Any, ...]]
+                     ) -> Tuple[int, Optional[int]]:
+        """Run one DML statement per parameter set: ``(rowcount,
+        lastrowid)``.
+
+        INSERTs take the batched fast path: every bound VALUES row is
+        collected into a *single* multi-row INSERT executed in one engine
+        call (one pass through validation, index maintenance bookkeeping,
+        and statistics), which is how bulk loads ride the vectorized
+        pipeline instead of paying per-call dispatch.
+        """
+        prepared = self._prepare(sql)
+        if prepared.is_query:
+            raise ProgrammingError(
+                "executemany() cannot be used with SELECT; iterate "
+                "execute() instead")
+        statement = prepared.statement
+        if not isinstance(statement, ast.Insert):
+            return sum(self._engine.execute_prepared(
+                prepared, params, user=self.user).rows_affected
+                for params in seq_of_params), None
+        rows: List[List[ast.Expression]] = []
+        for params in seq_of_params:
+            bound = bind_statement(statement, validate_parameters(
+                params, prepared.parameter_count))
+            rows.extend(bound.rows)
+        if not rows:
+            return 0, None
+        summary = self._engine.execute(
+            ast.Insert(statement.table, statement.columns, rows),
+            user=self.user)
+        return summary.rows_affected, _last_tuple_id(summary)
+
+    def _executescript(self, script: str) -> int:
+        """Run a script; the rowcount summed over its statements."""
+        results = self.database.execute_script(script, user=self.user)
+        return sum(getattr(result, "rows_affected", 0) for result in results)
+
+    def _commit(self) -> None:
+        self.database.commit()
+
+    def _rollback(self) -> None:
+        self.database.rollback()
+
+    def _close(self) -> None:
+        self._statements.clear()
+        if self._owns_database:
+            self.database.close()
+        else:
+            # A shared database stays open, but this connection's
+            # uncommitted work must not leak into it.
+            self.database.rollback()
 
 
 class Cursor:
@@ -233,7 +323,9 @@ class Cursor:
     Rows are :class:`~repro.executor.row.Row` objects — sequences (indexable,
     iterable, ``len()``-able) whose ``.values`` is the plain value tuple and
     whose ``.annotations`` carries the propagated A-SQL annotations, so the
-    paper's annotation semantics survive the standard API.
+    paper's annotation semantics survive the standard API.  The cursor
+    checks the SQL and the parameter shape before its connection's
+    transport sees them, so a malformed call never costs a round trip.
     """
 
     def __init__(self, connection: Connection):
@@ -241,23 +333,22 @@ class Cursor:
         #: Default ``fetchmany`` size (PEP 249; mutable per cursor).
         self.arraysize = 1
         self._closed = False
-        self._result_schema = None
+        self._rows: Optional[Any] = None
         self._rowcount = -1
         self._lastrowid: Optional[int] = None
-        self._stream = None
 
     # ------------------------------------------------------------------
     @property
     def description(self) -> Optional[Description]:
         """Column descriptions of the last SELECT, ``None`` for DML.
 
-        Built on demand from the result schema: a tight execute/fetch loop
+        Built on demand from the row source: a tight execute/fetch loop
         that never reads it does not pay for the 7-tuples.
         """
-        if self._result_schema is None:
+        if self._rows is None:
             return None
-        return tuple((column.name, None, None, None, None, None, None)
-                     for column in self._result_schema.columns)
+        return tuple((name, None, None, None, None, None, None)
+                     for name in self._rows.columns)
 
     @property
     def rowcount(self) -> int:
@@ -276,11 +367,15 @@ class Cursor:
         if self.connection.closed:
             raise InterfaceError("connection is closed")
 
+    def _release_rows(self) -> None:
+        rows, self._rows = self._rows, None
+        if rows is not None:
+            rows.close()
+
     def _reset_results(self) -> None:
-        self._result_schema = None
+        self._release_rows()
         self._rowcount = -1
         self._lastrowid = None
-        self._stream = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -293,74 +388,25 @@ class Cursor:
         and ``lastrowid``.  Returns the cursor (sqlite3-style chaining).
         """
         self._check_open()
-        prepared = self.connection._prepare(sql)
+        _check_sql(sql)
+        params = validate_parameters(params, None)
         self._reset_results()
-        engine = self.connection._engine
         with translate_errors():
-            if prepared.is_query:
-                stream = engine.stream_prepared(prepared, params,
-                                                user=self.connection.user)
-                self._stream = stream
-                self._result_schema = stream.schema
-            else:
-                summary = engine.execute_prepared(prepared, params,
-                                                  user=self.connection.user)
-                if isinstance(prepared.statement, ast.Explain):
-                    # EXPLAIN reads like a query: one "plan" row per line
-                    # of the plan dump (generic plans render ?N markers).
-                    self._result_schema = OutputSchema([ColumnInfo("plan")])
-                    self._stream = StreamingResultSet(
-                        self._result_schema,
-                        [Row((line,)) for line in summary.message.splitlines()])
-                    return self
-                self._rowcount = summary.rows_affected
-                tuple_ids = summary.details.get("tuple_ids") or ()
-                if isinstance(prepared.statement, ast.Insert) and tuple_ids:
-                    self._lastrowid = tuple_ids[-1]
+            self._rows, self._rowcount, self._lastrowid = \
+                self.connection._execute(self, sql, params)
         return self
 
     def executemany(self, sql: str,
                     seq_of_params: Iterable[Sequence[Any]]) -> "Cursor":
-        """Execute one DML statement once per parameter set.
-
-        INSERTs take the batched fast path: every bound VALUES row is
-        collected into a *single* multi-row INSERT executed in one engine
-        call (one pass through validation, index maintenance bookkeeping,
-        and statistics), which is how bulk loads ride the vectorized
-        pipeline instead of paying per-call dispatch.
-        """
+        """Execute one DML statement once per parameter set."""
         self._check_open()
-        prepared = self.connection._prepare(sql)
+        _check_sql(sql)
+        seq_of_params = [validate_parameters(params, None)
+                         for params in seq_of_params]
         self._reset_results()
-        engine = self.connection._engine
         with translate_errors():
-            if prepared.is_query:
-                raise ProgrammingError(
-                    "executemany() cannot be used with SELECT; iterate "
-                    "execute() instead")
-            total = 0
-            if isinstance(prepared.statement, ast.Insert):
-                rows: List[List[ast.Expression]] = []
-                for params in seq_of_params:
-                    bound_params = validate_parameters(
-                        params, prepared.parameter_count)
-                    bound = bind_statement(prepared.statement, bound_params)
-                    rows.extend(bound.rows)
-                if rows:
-                    statement = ast.Insert(prepared.statement.table,
-                                           prepared.statement.columns, rows)
-                    summary = engine.execute(statement,
-                                             user=self.connection.user)
-                    total = summary.rows_affected
-                    tuple_ids = summary.details.get("tuple_ids") or ()
-                    if tuple_ids:
-                        self._lastrowid = tuple_ids[-1]
-            else:
-                for params in seq_of_params:
-                    summary = engine.execute_prepared(
-                        prepared, params, user=self.connection.user)
-                    total += summary.rows_affected
-            self._rowcount = total
+            self._rowcount, self._lastrowid = \
+                self.connection._executemany(sql, seq_of_params)
         return self
 
     def executescript(self, script: str) -> "Cursor":
@@ -368,48 +414,45 @@ class Cursor:
         self._check_open()
         self._reset_results()
         with translate_errors():
-            results = self.connection.database.execute_script(
-                script, user=self.connection.user)
-        self._rowcount = sum(getattr(result, "rows_affected", 0)
-                             for result in results)
+            self._rowcount = self.connection._executescript(script)
         return self
 
     # ------------------------------------------------------------------
     # Fetching
     # ------------------------------------------------------------------
-    def _result_stream(self):
-        if self._stream is None:
+    def _result_rows(self) -> Any:
+        if self._rows is None:
             raise ProgrammingError(
                 "no result set: execute a SELECT before fetching")
-        return self._stream
+        return self._rows
 
     def fetchone(self) -> Optional[Row]:
-        """The next row of the stream, or ``None`` when exhausted."""
+        """The next row of the result, or ``None`` when exhausted."""
         self._check_open()
-        stream = self._result_stream()
+        rows = self._result_rows()
         with translate_errors():
-            return next(iter(stream), None)
+            return next(rows, None)
 
     def fetchmany(self, size: Optional[int] = None) -> List[Row]:
         self._check_open()
-        stream = self._result_stream()
+        rows = self._result_rows()
         with translate_errors():
-            return stream.fetchmany(self.arraysize if size is None else size)
+            return rows.fetchmany(self.arraysize if size is None else size)
 
     def fetchall(self) -> List[Row]:
         self._check_open()
-        stream = self._result_stream()
+        rows = self._result_rows()
         with translate_errors():
-            return list(stream)
+            return list(rows)
 
     def __iter__(self) -> "Cursor":
         return self
 
     def __next__(self) -> Row:
-        self._check_open()
-        stream = self._result_stream()
-        with translate_errors():
-            return next(iter(stream))
+        row = self.fetchone()
+        if row is None:
+            raise StopIteration
+        return row
 
     # ------------------------------------------------------------------
     def setinputsizes(self, sizes: Sequence[Any]) -> None:  # pragma: no cover
@@ -420,9 +463,10 @@ class Cursor:
         """PEP 249 no-op: values are never truncated."""
 
     def close(self) -> None:
-        """Discard any pending result stream.  Idempotent."""
+        """Discard any pending result (a served one is released on the
+        server).  Idempotent."""
+        self._release_rows()
         self._closed = True
-        self._stream = None
 
     def __enter__(self) -> "Cursor":
         self._check_open()

@@ -61,12 +61,6 @@ class OutdatedBitmap:
     def outdated_count(self) -> int:
         return sum(len(cells) for cells in self._outdated.values())
 
-    def outdated_tuples(self) -> Set[int]:
-        tuples: Set[int] = set()
-        for cells in self._outdated.values():
-            tuples |= cells
-        return tuples
-
     def outdated_columns_of(self, tuple_id: int) -> List[str]:
         return [
             name for name in self.column_names

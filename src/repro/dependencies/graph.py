@@ -87,10 +87,6 @@ class DependencyGraph:
         """Direct outgoing edges of ``cell``."""
         return list(self._forward.get(cell, []))
 
-    def derivations_of(self, cell: CellKey) -> List[DependencyEdge]:
-        """Direct incoming edges of ``cell`` (its immediate provenance)."""
-        return list(self._reverse.get(cell, []))
-
     def affected_closure(self, cells: Iterable[CellKey]) -> Set[CellKey]:
         """Every cell transitively reachable from ``cells`` (excluding them)."""
         visited: Set[CellKey] = set(cells)

@@ -433,19 +433,6 @@ def filter_annotations(relation: Relation, condition: ast.Expression) -> Relatio
 # ---------------------------------------------------------------------------
 # Joins
 # ---------------------------------------------------------------------------
-def cross_join(left: Relation, right: Relation) -> Relation:
-    left_schema, left_rows = left
-    right_schema, right_rows = right
-    schema = left_schema.concat(right_schema)
-
-    def rows() -> Iterator[Row]:
-        inner = _as_list(right_rows)
-        for left_row in left_rows:
-            for right_row in inner:
-                yield left_row.concat(right_row)
-    return schema, rows()
-
-
 def nested_loop_join(left: Relation, right: Relation,
                      condition: Optional[ast.Expression],
                      join_type: str = "INNER") -> Relation:

@@ -10,7 +10,7 @@ parts according to the propagation semantics of Section 3.4.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import PlanningError
 
@@ -131,10 +131,6 @@ class Row:
             for anns in self._annotations:
                 merged |= anns
         return merged
-
-    def with_values(self, values: Tuple[Any, ...],
-                    annotations: Optional[List[Set[Any]]] = None) -> "Row":
-        return Row(values, annotations)
 
     def copy(self) -> "Row":
         if self._annotations is None:
@@ -306,6 +302,10 @@ class StreamingResultSet:
     def fetchall(self) -> "ResultSet":
         return ResultSet(self.schema, list(self._rows))
 
+    def close(self) -> None:
+        """Abandon the rows not consumed yet, releasing their pipeline."""
+        self._rows = iter(())
+
     def __repr__(self) -> str:
         return f"StreamingResultSet(columns={self.columns})"
 
@@ -329,10 +329,6 @@ class ResultSet:
 
     def values(self) -> List[Tuple[Any, ...]]:
         return [row.values for row in self.rows]
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        names = self.columns
-        return [dict(zip(names, row.values)) for row in self.rows]
 
     def annotations_of(self, row_index: int, column: Optional[str] = None) -> Set[Any]:
         row = self.rows[row_index]

@@ -55,9 +55,6 @@ class Rect:
         return not (self.max_x < other.min_x or other.max_x < self.min_x or
                     self.max_y < other.min_y or other.max_y < self.min_y)
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
     def min_distance_to(self, x: float, y: float) -> float:
         dx = max(self.min_x - x, 0.0, x - self.max_x)
         dy = max(self.min_y - y, 0.0, y - self.max_y)

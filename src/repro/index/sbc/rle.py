@@ -98,10 +98,6 @@ class RleSequence:
     def from_plain(cls, sequence: str) -> "RleSequence":
         return cls(tuple(rle_encode(sequence)))
 
-    @classmethod
-    def from_runs(cls, runs: Iterable[Run]) -> "RleSequence":
-        return cls(tuple(runs))
-
     # ------------------------------------------------------------------
     @property
     def num_runs(self) -> int:

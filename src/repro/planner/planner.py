@@ -65,13 +65,6 @@ def referenced_columns(expr: ast.Expression) -> List[ast.ColumnRef]:
     return found
 
 
-def referenced_qualifiers(expr: ast.Expression) -> Set[str]:
-    """The set of table qualifiers referenced by ``expr`` (lower-cased)."""
-    return {
-        ref.table.lower() for ref in referenced_columns(expr) if ref.table is not None
-    }
-
-
 def push_down_conjuncts(
     where: Optional[ast.Expression],
     table_refs: Sequence[ast.TableRef],

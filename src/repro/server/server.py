@@ -429,9 +429,8 @@ class DatabaseServer:
                     "rowcount": cursor.rowcount,
                     "lastrowid": cursor.lastrowid}
         params = protocol.decode_values(request.get("params", []))
-        prepared = connection._prepare(sql)
         cursor = connection.cursor()
-        if prepared.is_query:
+        if connection._prepare(sql).is_query:
             # Snapshot-on-scan: execute *and materialize* under the shared
             # read lock, so the rows this session later fetches were all
             # produced against one committed state.
@@ -440,7 +439,7 @@ class DatabaseServer:
                 rows = cursor.fetchall()
             return self._store_result(session, cursor, rows)
         cursor.execute(sql, params)
-        if cursor._stream is not None:  # EXPLAIN renders as a row stream
+        if cursor.description is not None:  # EXPLAIN renders as rows
             return self._store_result(session, cursor, cursor.fetchall())
         return {"ok": True, "kind": "summary",
                 "rowcount": cursor.rowcount, "lastrowid": cursor.lastrowid}

@@ -28,12 +28,15 @@ SUPPORTED_PARAMETER_TYPES = (type(None), bool, int, float, str, datetime)
 _SUPPORTED_NAMES = "NULL, bool, int, float, str, datetime"
 
 
-def validate_parameters(params: Any, expected_count: int) -> Tuple[Any, ...]:
+def validate_parameters(params: Any,
+                        expected_count: Optional[int]) -> Tuple[Any, ...]:
     """Check count and types eagerly; return the parameters as a tuple.
 
     Raises :class:`ProgrammingError` naming the offending placeholder when a
     value's type has no SQL representation, or stating both counts when the
-    arity is wrong.  ``None`` is accepted as "no parameters".
+    arity is wrong.  ``None`` is accepted as "no parameters".  An
+    ``expected_count`` of ``None`` skips the count check: a network client
+    never parses the SQL, so only the server knows the placeholder count.
     """
     if params is None:
         params = ()
@@ -44,7 +47,7 @@ def validate_parameters(params: Any, expected_count: int) -> Tuple[Any, ...]:
                 f"got {type(params).__name__}: this dialect uses qmark ('?') "
                 f"placeholders, not named ones")
         params = tuple(params)
-    if len(params) != expected_count:
+    if expected_count is not None and len(params) != expected_count:
         raise ProgrammingError(
             f"statement expects {expected_count} parameter(s) "
             f"({expected_count} '?' placeholder(s)) but {len(params)} "

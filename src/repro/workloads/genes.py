@@ -7,6 +7,9 @@
 * :func:`build_gene_protein_pipeline` creates the Gene / Protein /
   GeneMatching schema of Figure 9 together with its procedural dependency
   rules (prediction tool P, the lab experiment, and BLAST-2.2.15).
+
+Both take a :class:`~repro.core.database.Database` and load it through a
+DB-API cursor of their own (``db.connect()``), as the admin user.
 """
 
 from __future__ import annotations
@@ -35,14 +38,15 @@ def build_gene_tables(db: Database, num_genes: int = 50, overlap: float = 0.4,
     if annotation_scheme is not None:
         db.config.default_annotation_scheme = annotation_scheme
     rng = random.Random(seed)
-    db.execute(
+    cur = db.connect().cursor()
+    cur.execute(
         "CREATE TABLE DB1_Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)"
     )
-    db.execute(
+    cur.execute(
         "CREATE TABLE DB2_Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)"
     )
-    db.execute("CREATE ANNOTATION TABLE GAnnotation ON DB1_Gene")
-    db.execute("CREATE ANNOTATION TABLE GAnnotation ON DB2_Gene")
+    cur.execute("CREATE ANNOTATION TABLE GAnnotation ON DB1_Gene")
+    cur.execute("CREATE ANNOTATION TABLE GAnnotation ON DB2_Gene")
 
     num_common = int(num_genes * overlap)
     db1_ids: List[str] = []
@@ -50,9 +54,7 @@ def build_gene_tables(db: Database, num_genes: int = 50, overlap: float = 0.4,
     common: List[str] = []
 
     def insert_gene(table: str, index: int, gid: str, name: str, seq: str) -> None:
-        db.execute(
-            f"INSERT INTO {table} VALUES ('{gid}', '{name}', '{seq}')"
-        )
+        cur.execute(f"INSERT INTO {table} VALUES (?, ?, ?)", (gid, name, seq))
 
     # Genes present in both tables (same data, different annotations).
     for index in range(num_common):
@@ -80,33 +82,33 @@ def build_gene_tables(db: Database, num_genes: int = 50, overlap: float = 0.4,
     # Annotations shaped like the paper's A1-A3 / B1-B5.
     half = db1_ids[: max(1, len(db1_ids) // 2)]
     half_list = ", ".join(f"'{gid}'" for gid in half)
-    db.execute(
+    cur.execute(
         "ADD ANNOTATION TO DB1_Gene.GAnnotation "
         "VALUE 'These genes are published in J. Bact. 2006' "
         f"ON (SELECT G.GID, G.GName FROM DB1_Gene G WHERE G.GID IN ({half_list}))"
     )
-    db.execute(
+    cur.execute(
         "ADD ANNOTATION TO DB1_Gene.GAnnotation "
         "VALUE 'These genes were obtained from RegulonDB' "
         "ON (SELECT G.* FROM DB1_Gene G)"
     )
     first_gid = db1_ids[0]
-    db.execute(
+    cur.execute(
         "ADD ANNOTATION TO DB1_Gene.GAnnotation "
         "VALUE 'Involved in methyltransferase activity' "
         f"ON (SELECT G.GSequence FROM DB1_Gene G WHERE G.GID = '{first_gid}')"
     )
-    db.execute(
+    cur.execute(
         "ADD ANNOTATION TO DB2_Gene.GAnnotation "
         "VALUE 'obtained from GenoBase' "
         "ON (SELECT G.GSequence FROM DB2_Gene G)"
     )
-    db.execute(
+    cur.execute(
         "ADD ANNOTATION TO DB2_Gene.GAnnotation "
         "VALUE 'Curated by user admin' "
         f"ON (SELECT G.* FROM DB2_Gene G WHERE G.GID = '{db2_ids[0]}')"
     )
-    db.execute(
+    cur.execute(
         "ADD ANNOTATION TO DB2_Gene.GAnnotation "
         "VALUE 'This gene has an unknown function' "
         f"ON (SELECT G.* FROM DB2_Gene G WHERE G.GID = '{db2_ids[-1]}')"
@@ -148,8 +150,9 @@ def build_gene_protein_pipeline(db: Database, num_genes: int = 30, seed: int = 3
     Returns the tuple ids inserted into each table, keyed by table name.
     """
     rng = random.Random(seed)
-    db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
-    db.execute(
+    cur = db.connect().cursor()
+    cur.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+    cur.execute(
         "CREATE TABLE Protein (PName TEXT PRIMARY KEY, GID TEXT, "
         "PSequence SEQUENCE, PFunction TEXT)"
     )
@@ -163,14 +166,13 @@ def build_gene_protein_pipeline(db: Database, num_genes: int = 30, seed: int = 3
         name = gene_name(index, rng)
         seq = dna_sequence(sequence_length, rng)
         gene_rows.append((gid, name, seq))
-        summary = db.execute(f"INSERT INTO Gene VALUES ('{gid}', '{name}', '{seq}')")
-        gene_ids.extend(summary.details["tuple_ids"])
+        cur.execute("INSERT INTO Gene VALUES (?, ?, ?)", (gid, name, seq))
+        gene_ids.append(cur.lastrowid)
         pseq = _derive_protein_sequence({"gsequence": seq}, {})
         function = functions[index % len(functions)]
-        summary = db.execute(
-            f"INSERT INTO Protein VALUES ('{name}', '{gid}', '{pseq}', '{function}')"
-        )
-        protein_ids.extend(summary.details["tuple_ids"])
+        cur.execute("INSERT INTO Protein VALUES (?, ?, ?, ?)",
+                    (name, gid, pseq, function))
+        protein_ids.append(cur.lastrowid)
 
     prediction_tool = Procedure("Prediction tool P", executable=True,
                                 invertible=False,
@@ -192,7 +194,7 @@ def build_gene_protein_pipeline(db: Database, num_genes: int = 30, seed: int = 3
 
     matching_ids: List[int] = []
     if with_matching:
-        db.execute(
+        cur.execute(
             "CREATE TABLE GeneMatching (Gene1 SEQUENCE, Gene2 SEQUENCE, Evalue FLOAT)"
         )
         blast = Procedure("BLAST-2.2.15", executable=True, invertible=False,
@@ -207,8 +209,7 @@ def build_gene_protein_pipeline(db: Database, num_genes: int = 30, seed: int = 3
             gene1 = gene_rows[index][2]
             gene2 = gene_rows[index + 1][2]
             evalue = _blast_evalue({"gene1": gene1, "gene2": gene2}, {})
-            summary = db.execute(
-                f"INSERT INTO GeneMatching VALUES ('{gene1}', '{gene2}', {evalue})"
-            )
-            matching_ids.extend(summary.details["tuple_ids"])
+            cur.execute("INSERT INTO GeneMatching VALUES (?, ?, ?)",
+                        (gene1, gene2, evalue))
+            matching_ids.append(cur.lastrowid)
     return {"gene": gene_ids, "protein": protein_ids, "genematching": matching_ids}

@@ -77,7 +77,7 @@ def approval_db(db):
 
 class TestContentApproval:
     def test_operations_are_logged_with_inverse(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         member.execute("UPDATE Gene SET GSequence = 'ATGCCC' WHERE GID = 'JW1'")
         member.execute("DELETE FROM Gene WHERE GID = 'JW1'")
@@ -90,12 +90,12 @@ class TestContentApproval:
         assert log[2].inverse.op_type is OperationType.INSERT
 
     def test_pending_data_remains_visible(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         assert len(approval_db.query("SELECT * FROM Gene")) == 1
 
     def test_approve_keeps_change(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         op = approval_db.approval.pending_operations()[0]
         approved = approval_db.approval.approve(op.op_id, "lab_admin")
@@ -103,14 +103,14 @@ class TestContentApproval:
         assert len(approval_db.query("SELECT * FROM Gene")) == 1
 
     def test_disapprove_insert_removes_row(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         op = approval_db.approval.pending_operations()[0]
         approval_db.approval.disapprove(op.op_id, "lab_admin")
         assert len(approval_db.query("SELECT * FROM Gene")) == 0
 
     def test_disapprove_update_restores_old_values(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         member.execute("UPDATE Gene SET GSequence = 'TTTT' WHERE GID = 'JW1'")
         update_op = approval_db.approval.log_entries()[-1]
@@ -118,7 +118,7 @@ class TestContentApproval:
         assert approval_db.query("SELECT GSequence FROM Gene").values() == [("ATG",)]
 
     def test_disapprove_delete_restores_row(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         member.execute("DELETE FROM Gene WHERE GID = 'JW1'")
         delete_op = approval_db.approval.log_entries()[-1]
@@ -126,14 +126,14 @@ class TestContentApproval:
         assert approval_db.query("SELECT GID FROM Gene").values() == [("JW1",)]
 
     def test_only_designated_approver_can_review(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         op = approval_db.approval.pending_operations()[0]
         with pytest.raises(AuthorizationError):
             approval_db.approval.approve(op.op_id, "lab_member")
 
     def test_double_review_rejected(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         op = approval_db.approval.pending_operations()[0]
         approval_db.approval.approve(op.op_id, "lab_admin")
@@ -144,7 +144,7 @@ class TestContentApproval:
         db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
         db.execute("GRANT ALL ON Gene TO lab_member")
         db.execute("START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY admin")
-        member = db.session("lab_member")
+        member = db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         member.execute("UPDATE Gene SET GName = 'renamed' WHERE GID = 'JW1'")
         member.execute("UPDATE Gene SET GSequence = 'TTT' WHERE GID = 'JW1'")
@@ -155,7 +155,7 @@ class TestContentApproval:
 
     def test_stop_content_approval(self, approval_db):
         approval_db.execute("STOP CONTENT APPROVAL ON Gene")
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW9', 'x', 'ATG')")
         assert approval_db.approval.log_size() == 0
 
@@ -176,7 +176,7 @@ class TestContentApproval:
         assert impact.total_affected >= 1
 
     def test_statistics(self, approval_db):
-        member = approval_db.session("lab_member")
+        member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         member.execute("INSERT INTO Gene VALUES ('JW2', 'b', 'ATG')")
         ops = approval_db.approval.pending_operations()

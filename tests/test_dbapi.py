@@ -60,6 +60,13 @@ def local_database(conn):
     return conn.database
 
 
+def _requests_served(conn):
+    """The server's ``requests_served`` counter, or ``None`` in process."""
+    if hasattr(conn, "database"):
+        return None
+    return conn.request({"op": "stats"})["stats"]["requests_served"]
+
+
 # ---------------------------------------------------------------------------
 # Module interface
 # ---------------------------------------------------------------------------
@@ -104,6 +111,10 @@ class TestModuleInterface:
 # Connection lifecycle
 # ---------------------------------------------------------------------------
 class TestConnection:
+    def test_one_connection_and_cursor_class_for_both_transports(self, conn):
+        assert isinstance(conn, repro.Connection)
+        assert type(conn.cursor()) is repro.Cursor
+
     def test_commit_is_allowed(self, conn):
         conn.commit()  # auto-commit engine: flushes, never raises
 
@@ -311,6 +322,21 @@ class TestParameters:
         with pytest.raises(repro.ProgrammingError):
             conn.execute("SELECT * FROM samples WHERE id = ?", {"id": 1})
 
+    @pytest.mark.parametrize("params", [{"id": 1}, {1}, object()],
+                             ids=["dict", "set", "object"])
+    def test_non_sequence_parameters_fail_before_a_round_trip(self, conn,
+                                                              params):
+        served = _requests_served(conn)
+        with pytest.raises(repro.ProgrammingError) as excinfo:
+            conn.cursor().execute("SELECT * FROM samples WHERE id = ?", params)
+        assert str(excinfo.value) == (
+            f"parameters must be given as a sequence (list or tuple), got "
+            f"{type(params).__name__}: this dialect uses qmark ('?') "
+            f"placeholders, not named ones")
+        if served is not None:
+            # The only request since is the first stats request itself.
+            assert _requests_served(conn) == served + 1
+
     def test_literal_question_mark_in_string_is_not_a_placeholder(self, conn):
         cur = conn.execute("SELECT name FROM samples WHERE name = 'a?b'")
         assert cur.fetchall() == []
@@ -435,13 +461,6 @@ class TestLegacyShims:
         with pytest.raises(repro.ProgrammingError):
             local_database(conn).execute_script(
                 "INSERT INTO samples VALUES (?, 'x', 0.0);")
-
-    def test_session_rides_a_connection(self, conn):
-        session = local_database(conn).session("admin")
-        assert isinstance(session.connection, repro.Connection)
-        row = session.cursor().execute(
-            "SELECT name FROM samples WHERE id = ?", (3,)).fetchone()
-        assert row.values == ("gamma",)
 
     def test_a_sql_annotations_flow_through_cursors(self, conn):
         cur = conn.cursor()

@@ -10,6 +10,7 @@ from repro.core.errors import (
     CatalogError,
     ConstraintViolationError,
     ExecutionError,
+    OperationalError,
 )
 
 
@@ -86,12 +87,13 @@ class TestPrivileges:
 
     def test_grant_enables_and_revoke_disables(self, simple_db):
         simple_db.execute("GRANT SELECT, INSERT ON samples TO alice")
-        alice = simple_db.session("alice")
+        alice = simple_db.connect(user="alice")
         alice.execute("INSERT INTO samples VALUES (10, 'zeta', 5.0, 'treated')")
-        assert len(alice.query("SELECT * FROM samples")) == 6
+        assert len(alice.execute("SELECT * FROM samples").fetchall()) == 6
         simple_db.execute("REVOKE INSERT ON samples FROM alice")
-        with pytest.raises(AuthorizationError):
+        with pytest.raises(OperationalError) as excinfo:
             alice.execute("INSERT INTO samples VALUES (11, 'eta', 6.0, 'treated')")
+        assert isinstance(excinfo.value.__cause__, AuthorizationError)
 
     def test_grant_requires_superuser(self, simple_db):
         with pytest.raises(AuthorizationError):

@@ -214,6 +214,27 @@ class TestFetch:
         finally:
             config_server.shutdown()
 
+    @pytest.mark.parametrize("release", ["close", "re-execute"])
+    def test_unfinished_result_is_released(self, release):
+        config_server = start_server(
+            config=ServerConfig(max_open_results=1))
+        try:
+            conn = repro.client.connect(port=config_server.port)
+            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+            conn.cursor().executemany("INSERT INTO t VALUES (?, ?)",
+                                      [(i, f"v{i}") for i in range(500)])
+            cur = conn.execute("SELECT id FROM t ORDER BY id")
+            assert cur.fetchone()[0] == 0  # the rest stays on the server
+            if release == "close":
+                cur.close()
+                cur = conn.cursor()
+            # The only result slot is free again: close_result was sent.
+            cur.execute("SELECT id FROM t ORDER BY id")
+            assert [row[0] for row in cur.fetchall()] == list(range(500))
+            conn.close()
+        finally:
+            config_server.shutdown()
+
     def test_timestamps_cross_the_wire(self, conn):
         conn.execute("CREATE TABLE ev (id INTEGER PRIMARY KEY, at TIMESTAMP)")
         stamp = datetime(2024, 2, 29, 23, 59, 59)
