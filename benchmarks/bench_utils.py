@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 
 import pytest
@@ -25,6 +26,10 @@ from repro import Database, EngineConfig
 
 #: Repo root (bench_utils lives in <root>/benchmarks/).
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The cursor helpers are shared with the test suite.
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
+from sql_helpers import bodies_of, details, fetch, run, values  # noqa: E402,F401
 
 #: Whether :func:`write_bench_results` writes.  ``benchmarks/conftest.py``
 #: sets it from ``--runslow``: verifying a change with plain ``pytest`` must

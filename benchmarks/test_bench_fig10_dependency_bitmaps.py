@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import bodies_of, details, fetch, make_db, print_table, run
 from repro.workloads import build_gene_protein_pipeline, dna_sequence
 
 NUM_GENES = 60
@@ -31,11 +31,11 @@ def modify_genes(db, count, seed=77):
     recomputed = outdated = 0
     for index in range(count):
         gid = f"JW{index:04d}"
-        summary = db.execute(
-            f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = '{gid}'"
+        summary = details(
+            db, f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = '{gid}'"
         )
-        recomputed += len(summary.details["recomputed"])
-        outdated += len(summary.details["marked_outdated"])
+        recomputed += len(summary["recomputed"])
+        outdated += len(summary["marked_outdated"])
     return recomputed, outdated
 
 
@@ -68,15 +68,16 @@ def test_modification_sweep_shapes(capsys=None):
 def test_outdated_answers_carry_warning_annotations():
     db = build()
     modify_genes(db, 5)
-    result = db.query("SELECT PName, PFunction FROM Protein")
-    flagged = [i for i in range(len(result)) if result.annotations_of(i)]
+    result = fetch(db, "SELECT PName, PFunction FROM Protein")
+    flagged = [i for i in range(len(result)) if result[i].all_annotations()]
     assert len(flagged) == 5
-    assert all("OUTDATED" in result.annotation_bodies(i)[0] for i in flagged)
+    assert all("OUTDATED" in bodies_of(result[i].all_annotations())[0] for i in flagged)
 
 
 def test_blast_rule_is_recomputed_not_marked():
     db = build()
-    summary = db.execute("UPDATE GeneMatching SET Gene1 = 'AAAAAAAA'")
+    summary = db.engine.execute_prepared(
+        db.engine.prepare("UPDATE GeneMatching SET Gene1 = 'AAAAAAAA'"))
     assert summary.details["marked_outdated"] == []
     assert len(summary.details["recomputed"]) == summary.rows_affected
 
@@ -87,31 +88,31 @@ def test_bench_update_with_dependency_tracking(benchmark):
 
     counter = {"i": 0}
 
-    def run():
+    def update():
         counter["i"] += 1
         gid = f"JW{counter['i'] % NUM_GENES:04d}"
-        db.execute(
-            f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = '{gid}'"
+        run(
+            db, f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = '{gid}'"
         )
 
-    benchmark(run)
+    benchmark(update)
 
 
 def test_bench_update_without_rules(benchmark):
     """Baseline: the same update stream on a database without dependency rules."""
     db = make_db()
-    db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+    run(db, "CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
     rng = random.Random(3)
     for index in range(NUM_GENES):
-        db.execute(f"INSERT INTO Gene VALUES ('JW{index:04d}', 'g', "
-                   f"'{dna_sequence(60, rng)}')")
+        run(db, f"INSERT INTO Gene VALUES ('JW{index:04d}', 'g', "
+                f"'{dna_sequence(60, rng)}')")
     counter = {"i": 0}
 
-    def run():
+    def update():
         counter["i"] += 1
         gid = f"JW{counter['i'] % NUM_GENES:04d}"
-        db.execute(
-            f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = '{gid}'"
+        run(
+            db, f"UPDATE Gene SET GSequence = '{dna_sequence(60, rng)}' WHERE GID = '{gid}'"
         )
 
-    benchmark(run)
+    benchmark(update)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import make_db, print_table, run, values
 from repro.workloads import dna_sequence
 
 NUM_OPS = 90
@@ -22,16 +22,16 @@ DISAPPROVAL_RATIOS = (0.0, 0.25, 0.5)
 
 def build(monitored: bool = True):
     db = make_db()
-    db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
-    db.execute("GRANT SELECT, INSERT, UPDATE, DELETE ON Gene TO lab_member")
+    run(db, "CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+    run(db, "GRANT SELECT, INSERT, UPDATE, DELETE ON Gene TO lab_member")
     rng = random.Random(7)
     # The curated base data is loaded *before* approval monitoring starts, so
     # only the lab member's subsequent operations appear in the update log.
     for index in range(30):
-        db.execute(f"INSERT INTO Gene VALUES ('JW{index:04d}', 'g{index}', "
-                   f"'{dna_sequence(40, rng)}')")
+        run(db, f"INSERT INTO Gene VALUES ('JW{index:04d}', 'g{index}', "
+                f"'{dna_sequence(40, rng)}')")
     if monitored:
-        db.execute("START CONTENT APPROVAL ON Gene APPROVED BY lab_admin")
+        run(db, "START CONTENT APPROVAL ON Gene APPROVED BY lab_admin")
         db.access.add_superuser("lab_admin")
     return db, rng
 
@@ -58,7 +58,7 @@ def test_review_sweep_and_inverse_correctness():
     for ratio in DISAPPROVAL_RATIOS:
         db, rng = build()
         snapshot = {gid: (name, seq) for gid, name, seq
-                    in db.query("SELECT * FROM Gene").values()}
+                    in values(db, "SELECT * FROM Gene")}
         run_member_workload(db, rng)
         pending = db.approval.pending_operations()
         disapproved = 0
@@ -81,14 +81,14 @@ def test_review_sweep_and_inverse_correctness():
 def test_full_disapproval_restores_monitored_updates():
     """Disapproving every UPDATE restores the original sequences."""
     db, rng = build()
-    original = dict((gid, seq) for gid, _, seq in db.query("SELECT * FROM Gene").values())
+    original = dict((gid, seq) for gid, _, seq in values(db, "SELECT * FROM Gene"))
     member = db.connect(user="lab_member")
     for gid in list(original)[:10]:
         member.execute(f"UPDATE Gene SET GSequence = '{dna_sequence(40, rng)}' "
                        f"WHERE GID = '{gid}'")
     for op in db.approval.pending_operations():
         db.approval.disapprove(op.op_id, "lab_admin")
-    restored = dict((gid, seq) for gid, _, seq in db.query("SELECT * FROM Gene").values())
+    restored = dict((gid, seq) for gid, _, seq in values(db, "SELECT * FROM Gene"))
     assert restored == original
 
 

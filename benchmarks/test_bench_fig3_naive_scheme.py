@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import fetch, make_db, print_table, values
 from repro.workloads import build_gene_tables
 
 NUM_GENES = 60
@@ -38,18 +38,18 @@ MANUAL_STEP_A = (
 
 
 def run_asql(db):
-    return db.query(ASQL_QUERY)
+    return fetch(db, ASQL_QUERY)
 
 
 def run_manual(db):
     """The paper's steps (a)-(c): intersect, then join back to each table's
     annotations through the annotation manager (standing in for the manual
     annotation-column joins of Figure 3)."""
-    step_a = db.query(MANUAL_STEP_A)
+    step_a = values(db, MANUAL_STEP_A)
     # Steps (b) and (c): re-attach annotations of both source tables by
     # probing each table's annotation linkage for the matching tuples.
     results = []
-    for row in step_a.values():
+    for row in step_a:
         gid = row[0]
         annotations = set()
         for table_name in ("DB1_Gene", "DB2_Gene"):
@@ -67,7 +67,7 @@ def test_asql_and_manual_plans_agree(loaded):
     asql = run_asql(db)
     manual = run_manual(db)
     assert len(asql) == len(manual) == len(info["common"])
-    asql_by_gid = {row.values[0]: row.all_annotations() for row in asql.rows}
+    asql_by_gid = {row.values[0]: row.all_annotations() for row in asql}
     for (values, annotations) in manual:
         assert asql_by_gid[values[0]] == annotations
 
@@ -78,7 +78,7 @@ def test_bench_asql_single_statement(benchmark, loaded):
     print_table(
         "E1/Figure 3 — annotated INTERSECT (A-SQL, 1 statement)",
         ["genes in answer", "statements", "annotations on first row"],
-        [[len(result), 1, len(result.rows[0].all_annotations())]],
+        [[len(result), 1, len(result[0].all_annotations())]],
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import fetch, make_db, print_table
 from repro.workloads import build_gene_tables
 
 NUM_GENES = 150
@@ -70,7 +70,7 @@ def test_compact_scheme_uses_fewer_records_and_io(measurements):
 def test_bench_naive_propagation_query(benchmark):
     db, _ = load("naive")
     result = benchmark(
-        db.query, "SELECT GID, GSequence FROM DB2_Gene ANNOTATION(GAnnotation)"
+        fetch, db, "SELECT GID, GSequence FROM DB2_Gene ANNOTATION(GAnnotation)"
     )
     assert len(result) == NUM_GENES
 
@@ -78,6 +78,6 @@ def test_bench_naive_propagation_query(benchmark):
 def test_bench_compact_propagation_query(benchmark):
     db, _ = load("compact")
     result = benchmark(
-        db.query, "SELECT GID, GSequence FROM DB2_Gene ANNOTATION(GAnnotation)"
+        fetch, db, "SELECT GID, GSequence FROM DB2_Gene ANNOTATION(GAnnotation)"
     )
     assert len(result) == NUM_GENES

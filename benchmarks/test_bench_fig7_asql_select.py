@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import fetch, make_db, print_table, run
 from repro.workloads import build_gene_tables
 
 NUM_GENES = 80
@@ -37,7 +37,7 @@ QUERIES = {
 
 
 def annotation_count(result):
-    return sum(len(row.all_annotations()) for row in result.rows)
+    return sum(len(row.all_annotations()) for row in result)
 
 
 def test_asql_operator_cardinalities(loaded):
@@ -45,7 +45,7 @@ def test_asql_operator_cardinalities(loaded):
     rows = []
     results = {}
     for name, sql in QUERIES.items():
-        result = db.query(sql)
+        result = fetch(db, sql)
         results[name] = result
         rows.append([name, len(result), annotation_count(result)])
     print_table("E3/Figure 7 — A-SQL SELECT operators",
@@ -62,36 +62,36 @@ def test_asql_operator_cardinalities(loaded):
 
 def test_archive_restore_roundtrip_counts(loaded):
     db = loaded
-    archived = db.execute(
-        "ARCHIVE ANNOTATION FROM DB1_Gene.GAnnotation ON (SELECT G.* FROM DB1_Gene G)"
+    archived = run(
+        db, "ARCHIVE ANNOTATION FROM DB1_Gene.GAnnotation ON (SELECT G.* FROM DB1_Gene G)"
     )
-    after_archive = db.query(QUERIES["ANNOTATION"])
-    restored = db.execute(
-        "RESTORE ANNOTATION FROM DB1_Gene.GAnnotation ON (SELECT G.* FROM DB1_Gene G)"
+    after_archive = fetch(db, QUERIES["ANNOTATION"])
+    restored = run(
+        db, "RESTORE ANNOTATION FROM DB1_Gene.GAnnotation ON (SELECT G.* FROM DB1_Gene G)"
     )
-    after_restore = db.query(QUERIES["ANNOTATION"])
+    after_restore = fetch(db, QUERIES["ANNOTATION"])
     print_table("E3/Figure 6 — ARCHIVE / RESTORE",
                 ["step", "annotations archived/restored", "annotations propagated"],
-                [["archive", archived.rows_affected, annotation_count(after_archive)],
-                 ["restore", restored.rows_affected, annotation_count(after_restore)]])
+                [["archive", archived.rowcount, annotation_count(after_archive)],
+                 ["restore", restored.rowcount, annotation_count(after_restore)]])
     assert annotation_count(after_archive) == 0
     assert annotation_count(after_restore) > 0
-    assert archived.rows_affected == restored.rows_affected
+    assert archived.rowcount == restored.rowcount
 
 
 def test_bench_annotated_select(benchmark, loaded):
     db = loaded
-    result = benchmark(db.query, QUERIES["ANNOTATION"])
+    result = benchmark(fetch, db, QUERIES["ANNOTATION"])
     assert len(result) == NUM_GENES
 
 
 def test_bench_plain_select_baseline(benchmark, loaded):
     db = loaded
-    result = benchmark(db.query, "SELECT GID, GSequence FROM DB1_Gene")
+    result = benchmark(fetch, db, "SELECT GID, GSequence FROM DB1_Gene")
     assert len(result) == NUM_GENES
 
 
 def test_bench_awhere(benchmark, loaded):
     db = loaded
-    result = benchmark(db.query, QUERIES["AWHERE"])
+    result = benchmark(fetch, db, QUERIES["AWHERE"])
     assert len(result) == NUM_GENES

@@ -12,7 +12,7 @@ from datetime import datetime
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import fetch, make_db, print_table, run
 from repro.workloads import dna_sequence
 import random
 
@@ -23,11 +23,11 @@ NUM_ROWS = 120
 def loaded():
     db = make_db()
     rng = random.Random(41)
-    db.execute("CREATE TABLE Assembly (AID TEXT PRIMARY KEY, Contig SEQUENCE, "
-               "Quality FLOAT)")
+    run(db, "CREATE TABLE Assembly (AID TEXT PRIMARY KEY, Contig SEQUENCE, "
+            "Quality FLOAT)")
     for index in range(NUM_ROWS):
-        db.execute(
-            f"INSERT INTO Assembly VALUES ('A{index:04d}', "
+        run(
+            db, f"INSERT INTO Assembly VALUES ('A{index:04d}', "
             f"'{dna_sequence(40, rng)}', {rng.random():.3f})"
         )
     tuple_ids = db.table("Assembly").tuple_ids
@@ -73,8 +73,8 @@ def test_source_at_time_matches_figure8_story(loaded):
 
 def test_provenance_propagates_and_filters(loaded):
     db = loaded
-    result = db.query(
-        "SELECT AID, Quality FROM Assembly ANNOTATION(provenance) "
+    result = fetch(
+        db, "SELECT AID, Quality FROM Assembly ANNOTATION(provenance) "
         "AWHERE annotation.value LIKE '%P1%'"
     )
     assert len(result) == NUM_ROWS

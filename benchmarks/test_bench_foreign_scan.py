@@ -23,14 +23,14 @@ import pytest
 
 from repro import Database
 
-from bench_utils import print_table, write_bench_results
+from bench_utils import fetch, print_table, run, write_bench_results
 
 
 def best_of(db: Database, query: str, repeats: int = 3) -> dict:
     best = None
     for _ in range(repeats):
         started = time.perf_counter()
-        result = db.query(query)
+        result = fetch(db, query)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return {"seconds": round(best, 6), "rows": len(result)}
@@ -45,7 +45,7 @@ def csv_pushdown_db(tmp_path, rows: int, pushdown: bool) -> Database:
                          f"payload-{i}-{'x' * 80},{i * 7}\n")
     db = Database()
     option = "" if pushdown else ", pushdown false"
-    db.execute(f"ATTACH '{path}' AS wide (TYPE csv{option})")
+    run(db, f"ATTACH '{path}' AS wide (TYPE csv{option})")
     return db
 
 
@@ -84,7 +84,7 @@ def run_repro_join(tmp_path, facts: int, label: str) -> dict:
     remote_path = str(tmp_path / "dim.db")
     dims = max(16, facts // 100)
     with Database(remote_path) as remote:
-        remote.execute("CREATE TABLE dim (did INTEGER, tag TEXT)")
+        run(remote, "CREATE TABLE dim (did INTEGER, tag TEXT)")
         table = remote.table("dim")
         for i in range(dims):
             table.insert_row({"did": i, "tag": f"t{i % 5}"})
@@ -94,7 +94,7 @@ def run_repro_join(tmp_path, facts: int, label: str) -> dict:
 
     def fact_db() -> Database:
         db = Database()
-        db.execute("CREATE TABLE fact (fid INTEGER PRIMARY KEY, did INTEGER)")
+        run(db, "CREATE TABLE fact (fid INTEGER PRIMARY KEY, did INTEGER)")
         table = db.table("fact")
         for i in range(facts):
             table.insert_row({"fid": i, "did": i % dims})
@@ -102,10 +102,10 @@ def run_repro_join(tmp_path, facts: int, label: str) -> dict:
         return db
 
     foreign_db = fact_db()
-    foreign_db.execute(f"ATTACH '{remote_path}' AS dim (TYPE repro)")
+    run(foreign_db, f"ATTACH '{remote_path}' AS dim (TYPE repro)")
 
     native_db = fact_db()
-    native_db.execute("CREATE TABLE dim (did INTEGER, tag TEXT)")
+    run(native_db, "CREATE TABLE dim (did INTEGER, tag TEXT)")
     table = native_db.table("dim")
     for i in range(dims):
         table.insert_row({"did": i, "tag": f"t{i % 5}"})

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from bench_utils import make_db, print_table
+from bench_utils import fetch, make_db, print_table, run
 from repro.planner.plan import plan_strategies
 
 ROWS = 2000
@@ -25,23 +25,23 @@ QUERY = ("SELECT b.id, p.pid FROM build_side b, probe_side p "
 
 def _load():
     db = make_db()
-    db.execute("CREATE TABLE build_side (id INTEGER PRIMARY KEY, payload TEXT)")
-    db.execute("CREATE TABLE probe_side (pid INTEGER PRIMARY KEY, fk INTEGER, "
-               "payload TEXT)")
+    run(db, "CREATE TABLE build_side (id INTEGER PRIMARY KEY, payload TEXT)")
+    run(db, "CREATE TABLE probe_side (pid INTEGER PRIMARY KEY, fk INTEGER, "
+            "payload TEXT)")
     build = db.table("build_side")
     probe = db.table("probe_side")
     for i in range(ROWS):
         build.insert_row({"id": i, "payload": f"b{i}"})
     for i in range(ROWS):
         probe.insert_row({"pid": i, "fk": i, "payload": f"p{i}"})
-    db.execute("ANALYZE")
+    run(db, "ANALYZE")
     return db
 
 
 def _time_query(db, strategy):
     db.config.join_strategy = strategy
     start = time.perf_counter()
-    result = db.query(QUERY)
+    result = fetch(db, QUERY)
     elapsed = time.perf_counter() - start
     return elapsed, result
 
@@ -67,7 +67,7 @@ def test_hash_join_beats_nested_loop_by_5x():
 
     # The observability surface reports what actually ran.
     db.config.join_strategy = "auto"
-    db.query(QUERY)
+    fetch(db, QUERY)
     assert plan_strategies(db.engine.last_plan) == ["hash"]
 
     # Headline acceptance: >= 5x.

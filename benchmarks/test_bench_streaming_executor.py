@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from repro import Database
 
-from bench_utils import print_table, write_bench_results
+from bench_utils import fetch, print_table, run, write_bench_results
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ def measure(db: Database, query: str, *, strategy: str = "auto",
     try:
         tracemalloc.start()
         started = time.perf_counter()
-        result = db.query(query)
+        result = fetch(db, query)
         elapsed = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -49,7 +50,7 @@ def measure(db: Database, query: str, *, strategy: str = "auto",
 
 def scan_db(rows: int) -> Database:
     db = Database()
-    db.execute("CREATE TABLE events (eid INTEGER PRIMARY KEY, kind TEXT, v FLOAT)")
+    run(db, "CREATE TABLE events (eid INTEGER PRIMARY KEY, kind TEXT, v FLOAT)")
     table = db.table("events")
     for i in range(rows):
         table.insert_row({"eid": i, "kind": f"k{i % 5}", "v": i * 0.5})
@@ -59,9 +60,9 @@ def scan_db(rows: int) -> Database:
 
 def join_db(genes: int, proteins_per_gene: int, samples_per_protein: int) -> Database:
     db = Database()
-    db.execute("CREATE TABLE gene (gid INTEGER PRIMARY KEY, score FLOAT)")
-    db.execute("CREATE TABLE protein (pid INTEGER PRIMARY KEY, gid INTEGER, kind TEXT)")
-    db.execute("CREATE TABLE sample (sid INTEGER PRIMARY KEY, pid INTEGER, w FLOAT)")
+    run(db, "CREATE TABLE gene (gid INTEGER PRIMARY KEY, score FLOAT)")
+    run(db, "CREATE TABLE protein (pid INTEGER PRIMARY KEY, gid INTEGER, kind TEXT)")
+    run(db, "CREATE TABLE sample (sid INTEGER PRIMARY KEY, pid INTEGER, w FLOAT)")
     gene, protein, sample = db.table("gene"), db.table("protein"), db.table("sample")
     pid = sid = 0
     for g in range(genes):
@@ -72,8 +73,8 @@ def join_db(genes: int, proteins_per_gene: int, samples_per_protein: int) -> Dat
                 sample.insert_row({"sid": sid, "pid": pid, "w": sid * 0.25})
                 sid += 1
             pid += 1
-    db.execute("CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
-    db.execute("CREATE INDEX ix_sample_pid ON sample (pid) USING btree")
+    run(db, "CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
+    run(db, "CREATE INDEX ix_sample_pid ON sample (pid) USING btree")
     db.analyze()
     return db
 
@@ -125,7 +126,7 @@ def measure_latency(db: Database, query: str, *, repeats: int = 7,
     try:
         for _ in range(repeats):
             started = time.perf_counter()
-            result = db.query(query)
+            result = fetch(db, query)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
     finally:
@@ -135,7 +136,7 @@ def measure_latency(db: Database, query: str, *, repeats: int = 7,
 
 def range_scan_db(rows: int) -> Database:
     db = scan_db(rows)
-    db.execute("CREATE INDEX ix_events_v ON events (v) USING btree")
+    run(db, "CREATE INDEX ix_events_v ON events (v) USING btree")
     db.analyze("events")
     return db
 
@@ -152,10 +153,10 @@ def run_range_scan(rows: int, label: str) -> dict:
         "order_elided": measure_latency(db, ordered),
         "order_sorted": measure_latency(db, ordered, use_indexes=False),
     }
-    db.query(window)
+    fetch(db, window)
     from repro.planner.plan import plan_access_paths
     assert plan_access_paths(db.engine.last_plan) == ["index_range"]
-    db.query(ordered)
+    fetch(db, ordered)
     assert db.engine.last_sort_elided
     explained = db.explain(ordered)
     assert "IndexRangeScan" in explained.message
@@ -172,8 +173,8 @@ def run_range_scan(rows: int, label: str) -> dict:
 
 def spill_db(rows: int) -> Database:
     db = Database()
-    db.execute("CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v FLOAT)")
-    db.execute("CREATE TABLE dim (id INTEGER PRIMARY KEY, fk INTEGER)")
+    run(db, "CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v FLOAT)")
+    run(db, "CREATE TABLE dim (id INTEGER PRIMARY KEY, fk INTEGER)")
     fact, dim = db.table("fact"), db.table("dim")
     for i in range(rows):
         fact.insert_row({"id": i, "k": i % 64, "v": i * 0.5})
@@ -294,7 +295,7 @@ def test_spill_breakers_full():
 # ---------------------------------------------------------------------------
 def prepared_db(rows: int) -> Database:
     db = scan_db(rows)
-    db.execute("CREATE INDEX ix_events_eid ON events (eid) USING btree")
+    run(db, "CREATE INDEX ix_events_eid ON events (eid) USING btree")
     db.analyze("events")
     return db
 
@@ -302,11 +303,11 @@ def prepared_db(rows: int) -> Database:
 def run_prepared_reuse(rows: int, repeats: int, label: str) -> dict:
     """Repeated parameterized point query through a reused cursor (plan
     cached after the first execution) vs. the same point query as a fresh
-    SQL string per call through the legacy ``db.query`` (tokenize + parse +
-    plan every time).  Both arms hit the same B-tree index and fetch the
+    SQL string per call through a second cursor (tokenize + parse + plan
+    every time: the key cycle is longer than the connection's statement LRU
+    and the plan cache).  Both arms hit the same B-tree index and fetch the
     same rows; the delta is the per-call front-end work the plan cache
     eliminates."""
-    import warnings
     db = prepared_db(rows)
     keys = [(i * 37) % rows for i in range(repeats)]
     sql = "SELECT eid, kind, v FROM events WHERE eid = ?"
@@ -328,16 +329,17 @@ def run_prepared_reuse(rows: int, repeats: int, label: str) -> dict:
             cursor.execute(sql, (key,)).fetchall()
     cached_seconds = best_of(5, cached_arm)
     assert db.engine.last_plan_cached
-    stats = db.engine.plan_cache.stats
+    # Snapshot the cached arm's counters: the fresh texts only miss.
+    stats = replace(db.engine.plan_cache.stats)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        db.query(sql.replace("?", "0"))             # warm caches equally
+    fresh = db.connect().cursor()
+    fresh.execute(sql.replace("?", "0")).fetchall()  # warm caches equally
 
-        def parsed_arm():
-            for key in keys:
-                db.query(f"SELECT eid, kind, v FROM events WHERE eid = {key}")
-        parsed_seconds = best_of(5, parsed_arm)
+    def parsed_arm():
+        for key in keys:
+            fresh.execute(
+                f"SELECT eid, kind, v FROM events WHERE eid = {key}").fetchall()
+    parsed_seconds = best_of(5, parsed_arm)
 
     series = {
         "cached_plan": {"seconds": round(cached_seconds, 6),

@@ -4,10 +4,17 @@ Registers the ``--runslow`` flag used by the ``slow`` marker (wired up in
 ``tests/conftest.py`` and ``benchmarks/conftest.py``): tests marked
 ``@pytest.mark.slow`` — large joins, big benchmark datasets — are skipped by
 default so the tier-1 command stays fast, and run with ``pytest --runslow``.
+
+Every ``DeprecationWarning`` raised while the suite runs is an error: the
+tests use the one supported surface, ``Database.connect()`` cursors.
 """
 
 
 import pytest
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
 
 
 def pytest_addoption(parser):

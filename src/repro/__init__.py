@@ -20,9 +20,9 @@ The same :class:`Connection` and :class:`Cursor` serve a remote database:
 transport is a socket to :mod:`repro.server`.
 
 The lower-level :class:`Database` facade remains available (engine knobs,
-direct table access, the bdbms managers); ``db.connect(user=...)`` runs
-statements as a given user, and its string entry points
-(``db.execute(sql)``) are deprecated shims over the same engine.
+direct table access, the bdbms managers); ``db.connect(user=...)`` hands
+out a :class:`Connection` that runs statements as a given user.  Cursors
+are the only way SQL reaches the engine.
 
 Sub-packages mirror the paper's architecture: ``annotations``, ``provenance``,
 ``dependencies``, ``authorization`` (the four bdbms pillars), ``index`` (the
@@ -54,7 +54,7 @@ from repro.dbapi import (
 )
 from repro.executor.engine import EngineConfig, ExecutionSummary
 from repro.executor.prepared import PreparedStatement
-from repro.executor.row import ResultSet, Row, StreamingResultSet
+from repro.executor.row import Row, StreamingResultSet
 
 __version__ = "0.2.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "EngineConfig",
     "ExecutionSummary",
     "PreparedStatement",
-    "ResultSet",
     "Row",
     "StreamingResultSet",
     "__version__",

@@ -163,8 +163,7 @@ class NetworkConnection(Connection):
             self.session_id = reply.get("session")
             self.protocol_version = reply.get("protocol")
         except BaseException:
-            self._sock.close()
-            self._closed = True
+            self._drop()
             raise
 
     # ------------------------------------------------------------------
@@ -182,14 +181,20 @@ class NetworkConnection(Connection):
                 raise OperationalError("server did not respond in time") \
                     from exc
             except OSError as exc:
-                self._closed = True
+                self._drop()
                 raise OperationalError(f"connection lost: {exc}") from exc
-        if response is None:
-            self._closed = True
-            raise OperationalError("server closed the connection")
+            if response is None:
+                self._drop()
+                raise OperationalError("server closed the connection")
         if not response.get("ok"):
             _raise_response_error(response.get("error") or {})
         return response
+
+    def _drop(self) -> None:
+        """Mark the connection lost and release its socket (``close()``
+        returns early on a closed connection)."""
+        self._closed = True
+        self._sock.close()
 
     def _read_frame(self) -> Optional[Dict[str, Any]]:
         prefix = self._recv_exact(4)

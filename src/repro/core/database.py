@@ -5,46 +5,33 @@ managers (annotations, provenance, dependencies, authorization).  Its SQL
 surface is the PEP 249 one — ``repro.connect(path)`` or
 :meth:`Database.connect(user=...) <Database.connect>` hand out DB-API
 connections whose cursors bind ``?`` parameters and reuse cached plans; a
-connection is also how statements run as a given user.  The historical
-string entry points (`execute`, `query`, `stream`) remain as thin delegating
-shims that warn :class:`DeprecationWarning`.
+connection is also how statements run as a given user.  Every statement
+reaches the engine through such a cursor; the facade itself only adds
+``explain``/``analyze``, table access and the transaction controls.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import replace
-from typing import Any, List, Optional, Union
+from typing import List, Optional
 
 from repro.annotations.manager import AnnotationManager
 from repro.authorization.approval import ApprovalManager
 from repro.authorization.grants import AccessControl
 from repro.catalog.catalog import SystemCatalog
-from repro.core.errors import ExecutionError, ProgrammingError
 from repro.core.transactions import TransactionManager
 from repro.dbapi.connection import Connection
 from repro.dependencies.tracker import DependencyTracker
 from repro.executor.engine import Engine, EngineConfig, ExecutionSummary
-from repro.executor.row import ResultSet, StreamingResultSet
 from repro.index.manager import IndexManager
 from repro.provenance.manager import ProvenanceManager
 from repro.providers.manager import ForeignTableManager
-from repro.sql.parser import parse_prepared, parse_script
+from repro.sql.parser import parse_prepared
 from repro.storage.buffer_pool import DEFAULT_POOL_SIZE
 from repro.storage.disk import IoStatistics, open_disk_manager
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.wal import FileWAL, wal_path_for
-
-ExecutionResult = Union[ResultSet, ExecutionSummary]
-
-
-def _warn_legacy(method: str) -> None:
-    warnings.warn(
-        f"{method} is a legacy shim; prefer the DB-API surface — "
-        f"repro.connect() / Database.connect() cursors with '?' parameter "
-        f"binding and cached plans (see docs/API.md)",
-        DeprecationWarning, stacklevel=3)
 
 
 class Database:
@@ -175,73 +162,6 @@ class Database:
         :func:`repro.connect` opens and owns one instead).
         """
         return Connection(self, user=user, owns_database=False)
-
-    # ------------------------------------------------------------------
-    # Legacy SQL entry points (thin shims over the engine)
-    # ------------------------------------------------------------------
-    def _parse_single(self, sql: str):
-        """Parse one statement, rejecting unbound ``?`` placeholders.
-
-        Placeholders only make sense with bound values, which the legacy
-        string API cannot supply — failing here (with a pointer at the
-        cursor API) beats a confusing error deep inside the executor.
-        ``EXPLAIN`` is exempt: planning a parameterized statement without
-        values is exactly what a generic-plan EXPLAIN is for.
-        """
-        from repro.sql import ast
-        statement, parameter_count = parse_prepared(sql)
-        if parameter_count and not isinstance(statement, ast.Explain):
-            raise ProgrammingError(
-                f"statement has {parameter_count} parameter placeholder(s) "
-                f"but this API takes no parameters; use "
-                f"Database.connect()/repro.connect() and "
-                f"cursor.execute(sql, params)")
-        return statement
-
-    def execute(self, sql: str, user: str = "admin") -> ExecutionResult:
-        """Parse and execute a single SQL / A-SQL statement.
-
-        .. deprecated:: 0.2
-           Legacy shim — prefer :meth:`connect` and cursors (parameter
-           binding, prepared-plan reuse, PEP 249 errors).
-        """
-        _warn_legacy("Database.execute()")
-        return self.engine.execute(self._parse_single(sql), user=user)
-
-    def execute_script(self, sql: str, user: str = "admin") -> List[ExecutionResult]:
-        """Execute a semicolon-separated script, returning one result each."""
-        return [self.engine.execute(statement, user=user)
-                for statement in parse_script(sql)]
-
-    def query(self, sql: str, user: str = "admin") -> ResultSet:
-        """Execute a statement that must be a query and return its result set.
-
-        .. deprecated:: 0.2
-           Legacy shim — prefer :meth:`connect` and cursors.
-        """
-        _warn_legacy("Database.query()")
-        result = self.engine.execute(self._parse_single(sql), user=user)
-        if not isinstance(result, ResultSet):
-            raise ExecutionError(f"statement is not a query: {sql!r}")
-        return result
-
-    def stream(self, sql: str, user: str = "admin") -> StreamingResultSet:
-        """Execute a query and return a lazy, row-at-a-time result.
-
-        Rows are produced on demand from the streaming operator pipeline, so
-        a consumer that stops early (for instance after a handful of rows of
-        a million-row table) never materializes the rest.  Consume or discard
-        the stream before issuing DML — it reads live table state.
-
-        .. deprecated:: 0.2
-           Legacy shim — cursors stream SELECT results lazily already.
-        """
-        from repro.sql import ast
-        _warn_legacy("Database.stream()")
-        statement = self._parse_single(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOperation)):
-            raise ExecutionError(f"statement is not a query: {sql!r}")
-        return self.engine.stream_query(statement, user=user)
 
     def analyze(self, table: Optional[str] = None,
                 user: str = "admin") -> ExecutionSummary:

@@ -30,7 +30,7 @@ process the row source is the engine's stream itself.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,6 +45,7 @@ from repro.executor.prepared import PreparedStatement
 from repro.executor.row import ColumnInfo, OutputSchema, Row, StreamingResultSet
 from repro.sql import ast
 from repro.sql.parameters import bind_statement, validate_parameters
+from repro.sql.parser import parse_script
 
 #: Cursors with an open SELECT stream expose one 7-tuple per output column:
 #: (name, type_code, display_size, internal_size, precision, scale, null_ok).
@@ -297,9 +298,16 @@ class Connection:
         return summary.rows_affected, _last_tuple_id(summary)
 
     def _executescript(self, script: str) -> int:
-        """Run a script; the rowcount summed over its statements."""
-        results = self.database.execute_script(script, user=self.user)
-        return sum(getattr(result, "rows_affected", 0) for result in results)
+        """Run a script; the rowcount summed over its statements.  A query
+        in it runs to completion and its rows are discarded."""
+        rowcount = 0
+        for statement in parse_script(script):
+            result = self._engine.execute(statement, user=self.user)
+            if isinstance(result, StreamingResultSet):
+                deque(result, maxlen=0)
+            else:
+                rowcount += result.rows_affected
+        return rowcount
 
     def _commit(self) -> None:
         self.database.commit()

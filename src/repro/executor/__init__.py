@@ -1,7 +1,7 @@
 """Execution layer: annotated rows, physical operators, and the engine."""
 
 from repro.executor.engine import Engine, EngineConfig, ExecutionSummary
-from repro.executor.row import ColumnInfo, OutputSchema, ResultSet, Row
+from repro.executor.row import ColumnInfo, OutputSchema, Row
 
 __all__ = [
     "Engine",
@@ -9,6 +9,5 @@ __all__ = [
     "ExecutionSummary",
     "ColumnInfo",
     "OutputSchema",
-    "ResultSet",
     "Row",
 ]

@@ -42,9 +42,7 @@ from repro.core.transactions import TransactionManager
 from repro.dependencies.tracker import DependencyTracker, UpdateImpact
 from repro.executor import operators as ops
 from repro.executor.row import (
-    ColumnInfo,
     OutputSchema,
-    ResultSet,
     Row,
     StreamingResultSet,
 )
@@ -210,7 +208,7 @@ class ExecutionSummary:
         return f"ExecutionSummary({self.statement}, rows={self.rows_affected})"
 
 
-ExecutionResult = Union[ResultSet, ExecutionSummary]
+ExecutionResult = Union[StreamingResultSet, ExecutionSummary]
 
 #: Statements the engine wraps in a transaction scope: inside an explicit
 #: transaction their effects buffer until COMMIT; otherwise each one runs as
@@ -367,7 +365,7 @@ class Engine:
     # ------------------------------------------------------------------
     def execute(self, statement: Any, user: str = "admin") -> ExecutionResult:
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            return self.execute_query(statement, user)
+            return self.stream_query(statement, user)
         if isinstance(statement, ast.Begin):
             self.transactions.begin()
             return ExecutionSummary("BEGIN", message="transaction started")
@@ -465,9 +463,8 @@ class Engine:
                          user: str = "admin") -> ExecutionResult:
         """Execute a prepared statement with ``params`` bound.
 
-        Parameter count and types are validated eagerly.  Queries run with
-        the plan cache engaged (plan once per SQL text + config fingerprint,
-        rebind values per execution); DML binds the values into the
+        Parameter count and types are validated eagerly.  A query returns
+        :meth:`stream_prepared`'s lazy stream; DML binds the values into the
         statement and executes directly.
         """
         if isinstance(prepared.statement, ast.Explain):
@@ -477,26 +474,21 @@ class Engine:
             if params:
                 validate_parameters(params, prepared.parameter_count)
             return self.execute(prepared.statement, user=user)
+        if prepared.is_query:
+            return self.stream_prepared(prepared, params, user=user)
         bound_params = validate_parameters(params, prepared.parameter_count)
-        if not prepared.is_query:
-            return self.execute(bind_statement(prepared.statement, bound_params),
-                                user=user)
-        with self._prepared_lock:
-            previous = self._prepared_context
-            self._prepared_context = _PreparedContext(
-                prepared.sql, bound_params, self.config.fingerprint())
-            try:
-                return self.execute_query(prepared.statement, user)
-            finally:
-                self._prepared_context = previous
+        return self.execute(bind_statement(prepared.statement, bound_params),
+                            user=user)
 
     def stream_prepared(self, prepared: PreparedStatement,
                         params: Sequence[Any] = (),
                         user: str = "admin") -> StreamingResultSet:
-        """Like :meth:`execute_prepared` but returns a lazy row stream.
+        """Run a prepared query and return its lazy row stream.
 
-        Planning (or a plan-cache hit), privilege checks, and parameter
-        binding all happen eagerly; only row production is deferred.
+        The plan cache is engaged (plan once per SQL text + config
+        fingerprint, rebind values per execution).  Planning (or a
+        plan-cache hit), privilege checks, and parameter binding all happen
+        eagerly; only row production is deferred.
         """
         bound_params = validate_parameters(params, prepared.parameter_count)
         if not prepared.is_query:
@@ -516,11 +508,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def execute_query(self, node: Any, user: str = "admin") -> ResultSet:
-        self._begin_query()
-        schema, rows = ops.materialize(self._evaluate_query(node, user))
-        return ResultSet(schema, rows)
-
     def stream_query(self, node: Any, user: str = "admin") -> StreamingResultSet:
         """Build the operator pipeline but defer row production to the caller.
 

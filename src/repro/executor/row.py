@@ -299,46 +299,9 @@ class StreamingResultSet:
                 break
         return out
 
-    def fetchall(self) -> "ResultSet":
-        return ResultSet(self.schema, list(self._rows))
-
     def close(self) -> None:
         """Abandon the rows not consumed yet, releasing their pipeline."""
         self._rows = iter(())
 
     def __repr__(self) -> str:
         return f"StreamingResultSet(columns={self.columns})"
-
-
-class ResultSet:
-    """Materialized result of a query: schema, rows, and helper accessors."""
-
-    def __init__(self, schema: OutputSchema, rows: List[Row]):
-        self.schema = schema
-        self.rows = rows
-
-    @property
-    def columns(self) -> List[str]:
-        return self.schema.names
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def values(self) -> List[Tuple[Any, ...]]:
-        return [row.values for row in self.rows]
-
-    def annotations_of(self, row_index: int, column: Optional[str] = None) -> Set[Any]:
-        row = self.rows[row_index]
-        if column is None:
-            return row.all_annotations()
-        position = self.schema.resolve(column)
-        return set(row.annotations[position])
-
-    def annotation_bodies(self, row_index: int, column: Optional[str] = None) -> List[str]:
-        return sorted(a.body for a in self.annotations_of(row_index, column))
-
-    def __repr__(self) -> str:
-        return f"ResultSet(columns={self.columns}, rows={len(self.rows)})"

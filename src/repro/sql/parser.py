@@ -27,7 +27,7 @@ def parse_prepared(text: str) -> Tuple[Any, int]:
     each becomes an :class:`~repro.sql.ast.Parameter` node carrying its
     zero-based position.  A second statement after a semicolon raises
     :class:`ProgrammingError` (one statement per call — scripts go through
-    :func:`parse_script` / ``execute_script``).
+    :func:`parse_script` / ``Cursor.executescript()``).
     """
     parser = Parser(tokenize(text))
     statement = parser.parse_statement()
@@ -38,8 +38,8 @@ def parse_prepared(text: str) -> Tuple[Any, int]:
         raise ProgrammingError(
             f"multi-statement strings are not allowed here (second statement "
             f"starts at {token.value!r}, position {token.position}); execute "
-            f"one statement at a time, or use execute_script() / "
-            f"Cursor.executescript() for scripts"
+            f"one statement at a time, or use Cursor.executescript() for "
+            f"scripts"
         )
     parser.expect_end()
     return statement, parser.parameter_count

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Database
 from repro.workloads import build_gene_protein_pipeline, build_gene_tables
+from sql_helpers import run
 
 
 def pytest_configure(config):
@@ -42,8 +43,8 @@ def pipeline_db() -> Database:
 def simple_db() -> Database:
     """A small generic table used by DML / authorization tests."""
     database = Database()
-    database.execute(
-        "CREATE TABLE samples (id INTEGER PRIMARY KEY, name TEXT, score FLOAT, "
+    run(
+        database, "CREATE TABLE samples (id INTEGER PRIMARY KEY, name TEXT, score FLOAT, "
         "category TEXT)"
     )
     rows = [
@@ -54,7 +55,7 @@ def simple_db() -> Database:
         (5, "epsilon", 4.5, "treated"),
     ]
     for row in rows:
-        database.execute(
-            f"INSERT INTO samples VALUES ({row[0]}, '{row[1]}', {row[2]}, '{row[3]}')"
+        run(
+            database, f"INSERT INTO samples VALUES ({row[0]}, '{row[1]}', {row[2]}, '{row[3]}')"
         )
     return database

@@ -7,7 +7,12 @@ import pytest
 from repro import Database
 from repro.authorization.approval import OperationStatus, OperationType
 from repro.authorization.grants import AccessControl
-from repro.core.errors import ApprovalError, AuthorizationError
+from repro.core.errors import (
+    ApprovalError,
+    AuthorizationError,
+    OperationalError,
+)
+from sql_helpers import fetch, run, values
 
 
 class TestAccessControl:
@@ -68,9 +73,9 @@ class TestAccessControl:
 @pytest.fixture
 def approval_db(db):
     """A monitored table with a lab-member user, per Figure 11."""
-    db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
-    db.execute("GRANT SELECT, INSERT, UPDATE, DELETE ON Gene TO lab_member")
-    db.execute("START CONTENT APPROVAL ON Gene APPROVED BY lab_admin")
+    run(db, "CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+    run(db, "GRANT SELECT, INSERT, UPDATE, DELETE ON Gene TO lab_member")
+    run(db, "START CONTENT APPROVAL ON Gene APPROVED BY lab_admin")
     db.access.add_superuser("lab_admin")
     return db
 
@@ -92,7 +97,7 @@ class TestContentApproval:
     def test_pending_data_remains_visible(self, approval_db):
         member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
-        assert len(approval_db.query("SELECT * FROM Gene")) == 1
+        assert len(fetch(approval_db, "SELECT * FROM Gene")) == 1
 
     def test_approve_keeps_change(self, approval_db):
         member = approval_db.connect(user="lab_member")
@@ -100,14 +105,14 @@ class TestContentApproval:
         op = approval_db.approval.pending_operations()[0]
         approved = approval_db.approval.approve(op.op_id, "lab_admin")
         assert approved.status is OperationStatus.APPROVED
-        assert len(approval_db.query("SELECT * FROM Gene")) == 1
+        assert len(fetch(approval_db, "SELECT * FROM Gene")) == 1
 
     def test_disapprove_insert_removes_row(self, approval_db):
         member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         op = approval_db.approval.pending_operations()[0]
         approval_db.approval.disapprove(op.op_id, "lab_admin")
-        assert len(approval_db.query("SELECT * FROM Gene")) == 0
+        assert len(fetch(approval_db, "SELECT * FROM Gene")) == 0
 
     def test_disapprove_update_restores_old_values(self, approval_db):
         member = approval_db.connect(user="lab_member")
@@ -115,7 +120,7 @@ class TestContentApproval:
         member.execute("UPDATE Gene SET GSequence = 'TTTT' WHERE GID = 'JW1'")
         update_op = approval_db.approval.log_entries()[-1]
         approval_db.approval.disapprove(update_op.op_id, "lab_admin")
-        assert approval_db.query("SELECT GSequence FROM Gene").values() == [("ATG",)]
+        assert values(approval_db, "SELECT GSequence FROM Gene") == [("ATG",)]
 
     def test_disapprove_delete_restores_row(self, approval_db):
         member = approval_db.connect(user="lab_member")
@@ -123,7 +128,7 @@ class TestContentApproval:
         member.execute("DELETE FROM Gene WHERE GID = 'JW1'")
         delete_op = approval_db.approval.log_entries()[-1]
         approval_db.approval.disapprove(delete_op.op_id, "lab_admin")
-        assert approval_db.query("SELECT GID FROM Gene").values() == [("JW1",)]
+        assert values(approval_db, "SELECT GID FROM Gene") == [("JW1",)]
 
     def test_only_designated_approver_can_review(self, approval_db):
         member = approval_db.connect(user="lab_member")
@@ -141,9 +146,9 @@ class TestContentApproval:
             approval_db.approval.disapprove(op.op_id, "lab_admin")
 
     def test_column_scoped_monitoring(self, db):
-        db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
-        db.execute("GRANT ALL ON Gene TO lab_member")
-        db.execute("START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY admin")
+        run(db, "CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+        run(db, "GRANT ALL ON Gene TO lab_member")
+        run(db, "START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY admin")
         member = db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG')")
         member.execute("UPDATE Gene SET GName = 'renamed' WHERE GID = 'JW1'")
@@ -154,21 +159,22 @@ class TestContentApproval:
         assert {op.op_type for op in ops} == {OperationType.INSERT, OperationType.UPDATE}
 
     def test_stop_content_approval(self, approval_db):
-        approval_db.execute("STOP CONTENT APPROVAL ON Gene")
+        run(approval_db, "STOP CONTENT APPROVAL ON Gene")
         member = approval_db.connect(user="lab_member")
         member.execute("INSERT INTO Gene VALUES ('JW9', 'x', 'ATG')")
         assert approval_db.approval.log_size() == 0
 
     def test_stop_without_start_raises(self, db):
-        db.execute("CREATE TABLE T (a INTEGER)")
-        with pytest.raises(ApprovalError):
-            db.execute("STOP CONTENT APPROVAL ON T")
+        run(db, "CREATE TABLE T (a INTEGER)")
+        with pytest.raises(OperationalError) as info:
+            run(db, "STOP CONTENT APPROVAL ON T")
+        assert isinstance(info.value.__cause__, ApprovalError)
 
     def test_disapproval_triggers_dependency_invalidation(self, pipeline_db):
         db = pipeline_db
-        db.execute("GRANT ALL ON Gene TO member")
-        db.execute("START CONTENT APPROVAL ON Gene APPROVED BY admin")
-        db.execute("UPDATE Gene SET GSequence = 'ATGTTT' WHERE GID = 'JW0001'",
+        run(db, "GRANT ALL ON Gene TO member")
+        run(db, "START CONTENT APPROVAL ON Gene APPROVED BY admin")
+        run(db, "UPDATE Gene SET GSequence = 'ATGTTT' WHERE GID = 'JW0001'",
                    user="member")
         op = db.approval.pending_operations()[0]
         _, impact = db.approval.disapprove(op.op_id, "admin")

@@ -25,13 +25,14 @@ import pytest
 
 from repro import Database, EngineConfig
 from repro.annotations.xml_utils import annotation_text
-from repro.core.errors import PlanningError
+from repro.core.errors import PlanningError, ProgrammingError
 from repro.executor.row import BatchedRows, ColumnInfo, OutputSchema, Row, RowBatch
 from repro.index.btree import BPlusTree
 from repro.planner.expressions import BatchFilter, Evaluator, predicate_is_true
 from repro.planner.plan import plan_access_paths
 from repro.planner.planner import split_conjuncts
 from repro.sql.parser import parse_expression
+from sql_helpers import bodies_of, fetch, run, values
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,15 @@ class TestConfigValidation:
 
     def test_mutated_config_rejected_eagerly_at_query_time(self):
         db = Database()
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        run(db, "CREATE TABLE t (id INTEGER PRIMARY KEY)")
         for field, value in [("join_strategy", "quantum"),
                              ("batch_size", 0)]:
             fresh = Database()
-            fresh.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            run(fresh, "CREATE TABLE t (id INTEGER PRIMARY KEY)")
             setattr(fresh.config, field, value)
-            with pytest.raises(PlanningError):
-                fresh.query("SELECT id FROM t")
+            with pytest.raises(ProgrammingError) as info:
+                fetch(fresh, "SELECT id FROM t")
+            assert isinstance(info.value.__cause__, PlanningError)
 
     def test_database_batch_size_override_validated(self):
         with pytest.raises(PlanningError):
@@ -198,21 +200,21 @@ class TestBTreeRanges:
 # ---------------------------------------------------------------------------
 def range_db(rows: int = 300) -> Database:
     db = Database()
-    db.execute("CREATE TABLE m (id INTEGER PRIMARY KEY, v FLOAT, tag TEXT)")
+    run(db, "CREATE TABLE m (id INTEGER PRIMARY KEY, v FLOAT, tag TEXT)")
     table = db.table("m")
     for i in range(rows):
         table.insert_row({"id": i, "v": i * 0.5, "tag": f"t{i % 7}"})
-    db.execute("CREATE INDEX ix_m_v ON m (v) USING btree")
+    run(db, "CREATE INDEX ix_m_v ON m (v) USING btree")
     db.analyze("m")
     return db
 
 
 class TestIndexRangeScan:
     def assert_matches_seq(self, db, query):
-        with_index = sorted(db.query(query).values())
+        with_index = sorted(values(db, query))
         db.config.use_indexes = False
         try:
-            without_index = sorted(db.query(query).values())
+            without_index = sorted(values(db, query))
         finally:
             db.config.use_indexes = True
         assert with_index == without_index
@@ -226,7 +228,7 @@ class TestIndexRangeScan:
     def test_range_results_match_seq_scan(self, predicate):
         db = range_db()
         query = f"SELECT id FROM m WHERE {predicate}"
-        db.query(query)
+        fetch(db, query)
         assert plan_access_paths(db.engine.last_plan) == ["index_range"]
         self.assert_matches_seq(db, query)
 
@@ -242,12 +244,12 @@ class TestIndexRangeScan:
 
     def test_cross_type_bound_does_not_pick_range(self):
         db = range_db()
-        db.query("SELECT id FROM m WHERE v > 'abc'")
+        fetch(db, "SELECT id FROM m WHERE v > 'abc'")
         assert plan_access_paths(db.engine.last_plan) == ["seq"]
 
     def test_unselective_range_stays_sequential(self):
         db = range_db()
-        db.query("SELECT id FROM m WHERE v >= 0")  # matches everything
+        fetch(db, "SELECT id FROM m WHERE v >= 0")  # matches everything
         assert plan_access_paths(db.engine.last_plan) == ["seq"]
 
     def test_nan_rows_block_lower_bound_only_ranges(self):
@@ -259,21 +261,21 @@ class TestIndexRangeScan:
         assert index.nan_keys == 1
         # Lower-bound-only: NaN sorts above every number, so the (incomplete)
         # index would lose the NaN row -> planner must refuse.
-        db.query("SELECT id FROM m WHERE v > 20")
+        fetch(db, "SELECT id FROM m WHERE v > 20")
         assert plan_access_paths(db.engine.last_plan) == ["seq"]
         result = self.assert_matches_seq(db, "SELECT id FROM m WHERE v > 20")
         assert (999,) in result
         # An upper bound excludes NaN by itself -> range path allowed.
-        db.query("SELECT id FROM m WHERE v > 20 AND v < 22")
+        fetch(db, "SELECT id FROM m WHERE v > 20 AND v < 22")
         assert plan_access_paths(db.engine.last_plan) == ["index_range"]
         self.assert_matches_seq(db, "SELECT id FROM m WHERE v > 20 AND v < 22")
 
     def test_null_keys_allowed_for_bounded_ranges(self):
         db = range_db(50)
-        db.execute("INSERT INTO m VALUES (998, NULL, 'tnull')")
+        run(db, "INSERT INTO m VALUES (998, NULL, 'tnull')")
         assert db.indexes.get("ix_m_v").null_keys == 1
         query = "SELECT id FROM m WHERE v > 20 AND v < 22"
-        db.query(query)
+        fetch(db, query)
         assert plan_access_paths(db.engine.last_plan) == ["index_range"]
         assert (998,) not in self.assert_matches_seq(db, query)
 
@@ -299,9 +301,9 @@ class TestIndexRangeScan:
 
     def test_range_scan_after_dml_sees_fresh_rows(self):
         db = range_db(60)
-        db.execute("DELETE FROM m WHERE id = 25")
-        db.execute("INSERT INTO m VALUES (500, 12.25, 'tx')")
-        db.execute("UPDATE m SET v = 13.75 WHERE id = 20")
+        run(db, "DELETE FROM m WHERE id = 25")
+        run(db, "INSERT INTO m VALUES (500, 12.25, 'tx')")
+        run(db, "UPDATE m SET v = 13.75 WHERE id = 20")
         query = "SELECT id, v FROM m WHERE v BETWEEN 10 AND 15"
         result = self.assert_matches_seq(db, query)
         ids = [row[0] for row in result]
@@ -317,13 +319,13 @@ class TestSortElision:
         explained = db.explain("SELECT id, v FROM m WHERE v > 10 ORDER BY v")
         assert "[sort: elided]" in explained.message
         assert explained.details["plan"]["sort"] == "elided"
-        rows = db.query("SELECT id, v FROM m WHERE v > 10 ORDER BY v").values()
+        rows = values(db, "SELECT id, v FROM m WHERE v > 10 ORDER BY v")
         assert db.engine.last_sort_elided
         assert rows == sorted(rows, key=lambda row: row[1])
         # Differential: identical to the explicit sort over a sequential scan.
         db.config.use_indexes = False
         try:
-            baseline = db.query("SELECT id, v FROM m WHERE v > 10 ORDER BY v").values()
+            baseline = values(db, "SELECT id, v FROM m WHERE v > 10 ORDER BY v")
             assert not db.engine.last_sort_elided
         finally:
             db.config.use_indexes = True
@@ -334,10 +336,10 @@ class TestSortElision:
         explained = db.explain("SELECT id FROM m ORDER BY v")
         assert "[sort: elided]" in explained.message
         # A NULL key makes the unbounded traversal incomplete -> no elision.
-        db.execute("INSERT INTO m VALUES (997, NULL, 'tnull')")
+        run(db, "INSERT INTO m VALUES (997, NULL, 'tnull')")
         explained = db.explain("SELECT id FROM m ORDER BY v")
         assert "[sort: elided]" not in explained.message
-        rows = db.query("SELECT v FROM m ORDER BY v").values()
+        rows = values(db, "SELECT v FROM m ORDER BY v")
         assert rows[0] == (None,)  # NULLs first, like the explicit sort
 
     def test_descending_order_elides_via_reverse_traversal(self):
@@ -345,7 +347,7 @@ class TestSortElision:
         explained = db.explain("SELECT id FROM m WHERE v > 10 ORDER BY v DESC")
         assert "[sort: elided]" in explained.message
         assert "[ordered desc]" in explained.message
-        rows = db.query("SELECT v FROM m WHERE v > 140 ORDER BY v DESC").values()
+        rows = values(db, "SELECT v FROM m WHERE v > 140 ORDER BY v DESC")
         assert db.engine.last_sort_elided
         assert rows == sorted(rows, reverse=True)
 
@@ -353,30 +355,30 @@ class TestSortElision:
         db = range_db()
         assert "[sort: elided]" not in db.explain(
             "SELECT id FROM m WHERE v > 10 ORDER BY v, id").message
-        rows = db.query("SELECT v, id FROM m WHERE v > 140 ORDER BY v, id").values()
+        rows = values(db, "SELECT v, id FROM m WHERE v > 140 ORDER BY v, id")
         assert rows == sorted(rows)
 
     def test_order_propagates_through_left_joins(self):
         db = Database()
-        db.execute("CREATE TABLE g (gid INTEGER PRIMARY KEY, score FLOAT)")
-        db.execute("CREATE TABLE p (pid INTEGER PRIMARY KEY, gid INTEGER)")
+        run(db, "CREATE TABLE g (gid INTEGER PRIMARY KEY, score FLOAT)")
+        run(db, "CREATE TABLE p (pid INTEGER PRIMARY KEY, gid INTEGER)")
         for i in range(40):
             db.table("g").insert_row({"gid": i, "score": (40 - i) * 1.0})
         for i in range(120):
             db.table("p").insert_row({"pid": i, "gid": i % 50})
-        db.execute("CREATE INDEX ix_g_score ON g (score) USING btree")
+        run(db, "CREATE INDEX ix_g_score ON g (score) USING btree")
         db.analyze()
         query = ("SELECT g.gid, g.score, p.pid FROM g JOIN p ON g.gid = p.gid "
                  "WHERE g.score > 5 ORDER BY g.score")
         explained = db.explain(query)
         assert "[sort: elided]" in explained.message
-        rows = db.query(query).values()
+        rows = values(db, query)
         assert db.engine.last_sort_elided
         scores = [row[1] for row in rows]
         assert scores == sorted(scores)
         db.config.join_strategy = "nested_loop"
         try:
-            baseline = db.query(query).values()
+            baseline = values(db, query)
         finally:
             db.config.join_strategy = "auto"
         assert sorted(rows) == sorted(baseline)
@@ -390,7 +392,7 @@ class TestSortElision:
         assert "[sort: elided]" not in explained.message
         explained = db.explain("SELECT id FROM m WHERE v >= 0 ORDER BY v")
         assert "[sort: elided]" not in explained.message
-        rows = db.query("SELECT v FROM m WHERE v >= 0 ORDER BY v LIMIT 3").values()
+        rows = values(db, "SELECT v FROM m WHERE v >= 0 ORDER BY v LIMIT 3")
         assert rows == [(0.0,), (0.5,), (1.0,)]
 
     def test_limit_turns_big_order_scan_into_top_k(self, monkeypatch):
@@ -407,7 +409,7 @@ class TestSortElision:
             return original(self_table, tuple_id)
 
         monkeypatch.setattr(type(db.table("m")), "read_row", counting)
-        rows = db.query("SELECT id, v FROM m ORDER BY v LIMIT 5").values()
+        rows = values(db, "SELECT id, v FROM m ORDER BY v LIMIT 5")
         assert rows == [(i, i * 0.5) for i in range(5)]
         assert len(fetched) <= 8  # ~LIMIT fetches, not the whole table
 
@@ -427,12 +429,12 @@ class TestBatchedPipeline:
         query = "SELECT id, tag FROM m WHERE v > 30 AND tag <> 't3' LIMIT 50"
         names = db.table("m").schema.column_names
         expected = []
-        for _, values in db.table("m").scan():
-            row = dict(zip(names, values))
+        for _, stored in db.table("m").scan():
+            row = dict(zip(names, stored))
             if row["v"] > 30 and row["tag"] != "t3":
                 expected.append((row["id"], row["tag"]))
         assert len(expected) > 50
-        assert db.query(query).values() == expected[:50]
+        assert values(db, query) == expected[:50]
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 1024])
     def test_batch_size_does_not_change_results(self, batch_size):
@@ -440,12 +442,12 @@ class TestBatchedPipeline:
         db.config.batch_size = batch_size
         query = ("SELECT id, v FROM m WHERE v BETWEEN 5 AND 60 "
                  "ORDER BY id LIMIT 20 OFFSET 3")
-        assert db.query(query).values() == [
+        assert values(db, query) == [
             (i, i * 0.5) for i in range(13, 33)]
 
     def test_limit_decodes_only_leading_pages(self, monkeypatch):
         db = Database()
-        db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, s TEXT)")
+        run(db, "CREATE TABLE big (id INTEGER PRIMARY KEY, s TEXT)")
         table = db.table("big")
         for i in range(20_000):
             table.insert_row({"id": i, "s": f"row{i}"})
@@ -458,14 +460,14 @@ class TestBatchedPipeline:
             return original(self, page_id, with_tuple_ids)
 
         monkeypatch.setattr(HeapFile, "scan_page_rows", counting)
-        result = db.query("SELECT id FROM big LIMIT 5")
-        assert [row.values for row in result.rows] == [((i,)) for i in range(5)]
+        result = fetch(db, "SELECT id FROM big LIMIT 5")
+        assert [row.values for row in result] == [((i,)) for i in range(5)]
         assert len(calls) <= 2
         assert len(calls) < db.table("big").heap.num_pages() / 10
 
     def test_stream_pulls_batches_lazily(self, monkeypatch):
         db = Database()
-        db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY)")
+        run(db, "CREATE TABLE big (id INTEGER PRIMARY KEY)")
         table = db.table("big")
         for i in range(20_000):
             table.insert_row({"id": i})
@@ -478,33 +480,33 @@ class TestBatchedPipeline:
             return original(self, page_id, with_tuple_ids)
 
         monkeypatch.setattr(HeapFile, "scan_page_rows", counting)
-        stream = db.stream("SELECT id FROM big WHERE id >= 0")
+        stream = run(db, "SELECT id FROM big WHERE id >= 0")
         head = [next(stream) for _ in range(3)]
         assert [row.values for row in head] == [(0,), (1,), (2,)]
         assert len(calls) <= 2
 
     def test_annotations_propagate_through_batched_filter_and_project(self):
         db = Database()
-        db.execute("CREATE TABLE gene (gid TEXT PRIMARY KEY, name TEXT, score FLOAT)")
-        db.execute("CREATE ANNOTATION TABLE note ON gene")
+        run(db, "CREATE TABLE gene (gid TEXT PRIMARY KEY, name TEXT, score FLOAT)")
+        run(db, "CREATE ANNOTATION TABLE note ON gene")
         for i in range(30):
-            db.execute(f"INSERT INTO gene VALUES ('G{i}', 'n{i}', {i * 1.0})")
-        db.execute("ADD ANNOTATION TO gene.note VALUE 'high scorer' "
-                   "ON (SELECT g.gid FROM gene g WHERE g.score > 20)")
-        db.execute("ADD ANNOTATION TO gene.note VALUE 'name note' "
-                   "ON (SELECT g.name FROM gene g WHERE g.gid = 'G25')")
+            run(db, f"INSERT INTO gene VALUES ('G{i}', 'n{i}', {i * 1.0})")
+        run(db, "ADD ANNOTATION TO gene.note VALUE 'high scorer' "
+                "ON (SELECT g.gid FROM gene g WHERE g.score > 20)")
+        run(db, "ADD ANNOTATION TO gene.note VALUE 'name note' "
+                "ON (SELECT g.name FROM gene g WHERE g.gid = 'G25')")
         query = ("SELECT gid, score FROM gene ANNOTATION(note) "
                  "WHERE score > 20 AND gid <> 'G29'")
 
         def canonical(batch_size):
             db.config.batch_size = batch_size
             try:
-                result = db.query(query)
+                result = fetch(db, query)
                 return sorted(
                     (row.values,
                      tuple(tuple(sorted(annotation_text(a.body) for a in anns))
                            for anns in row.annotations))
-                    for row in result.rows)
+                    for row in result)
             finally:
                 db.config.batch_size = 1024
 
@@ -518,31 +520,31 @@ class TestBatchedPipeline:
 
     def test_annotations_propagate_through_range_scan(self):
         db = Database()
-        db.execute("CREATE TABLE m (id INTEGER PRIMARY KEY, v FLOAT)")
-        db.execute("CREATE ANNOTATION TABLE note ON m")
+        run(db, "CREATE TABLE m (id INTEGER PRIMARY KEY, v FLOAT)")
+        run(db, "CREATE ANNOTATION TABLE note ON m")
         for i in range(40):
-            db.execute(f"INSERT INTO m VALUES ({i}, {i * 1.0})")
-        db.execute("ADD ANNOTATION TO m.note VALUE 'mid band' "
-                   "ON (SELECT t.id FROM m t WHERE t.v BETWEEN 10 AND 20)")
-        db.execute("CREATE INDEX ix_m_v ON m (v) USING btree")
+            run(db, f"INSERT INTO m VALUES ({i}, {i * 1.0})")
+        run(db, "ADD ANNOTATION TO m.note VALUE 'mid band' "
+                "ON (SELECT t.id FROM m t WHERE t.v BETWEEN 10 AND 20)")
+        run(db, "CREATE INDEX ix_m_v ON m (v) USING btree")
         db.analyze("m")
         query = "SELECT id FROM m ANNOTATION(note) WHERE v BETWEEN 12 AND 15"
-        result = db.query(query)
+        result = fetch(db, query)
         assert plan_access_paths(db.engine.last_plan) == ["index_range"]
         assert len(result) == 4
         for index in range(len(result)):
             bodies = [annotation_text(body)
-                      for body in result.annotation_bodies(index, "id")]
+                      for body in bodies_of(result[index].annotations[0])]
             assert bodies == ["mid band"]
 
     def test_promote_survives_batched_projection(self):
         db = Database()
-        db.execute("CREATE TABLE g (gid TEXT PRIMARY KEY, seq TEXT)")
-        db.execute("CREATE ANNOTATION TABLE note ON g")
-        db.execute("INSERT INTO g VALUES ('a', 'ATG')")
-        db.execute("ADD ANNOTATION TO g.note VALUE 'seq note' "
-                   "ON (SELECT x.seq FROM g x WHERE x.gid = 'a')")
-        result = db.query("SELECT gid PROMOTE (seq) FROM g ANNOTATION(note)")
+        run(db, "CREATE TABLE g (gid TEXT PRIMARY KEY, seq TEXT)")
+        run(db, "CREATE ANNOTATION TABLE note ON g")
+        run(db, "INSERT INTO g VALUES ('a', 'ATG')")
+        run(db, "ADD ANNOTATION TO g.note VALUE 'seq note' "
+                "ON (SELECT x.seq FROM g x WHERE x.gid = 'a')")
+        result = fetch(db, "SELECT gid PROMOTE (seq) FROM g ANNOTATION(note)")
         bodies = [annotation_text(body)
-                  for body in result.annotation_bodies(0, "gid")]
+                  for body in bodies_of(result[0].annotations[0])]
         assert bodies == ["seq note"]

@@ -1,8 +1,8 @@
 """``tools/check_docs.py``'s guards: docs/TUNING.md and ``EngineConfig``
 must name exactly the same knobs, so a half-finished knob deletion (or an
 undocumented new knob) fails the docs job; and the docs may name only the
-``engine.last_*`` surfaces ``Engine`` defines and only the ``EngineConfig``
-fields that exist."""
+``engine.last_*`` surfaces ``Engine`` defines, only the ``EngineConfig``
+fields that exist and only the ``Database`` methods that exist."""
 
 from __future__ import annotations
 
@@ -63,6 +63,20 @@ def test_docs_name_only_existing_config_fields():
             "`db.config.join_strategy`, never `EngineConfig.bogus`.\n")
     assert check_docs.check_config_names("docs/X.md", text, fields) == [
         "docs/X.md: EngineConfig.bogus is not an EngineConfig field"]
+
+
+def test_docs_call_only_existing_database_methods():
+    check_docs = load_check_docs()
+    attributes = check_docs.database_attributes()
+    assert {"connect", "explain", "analyze"} <= attributes
+    for path in check_docs.surface_files():
+        with open(path, encoding="utf-8") as handle:
+            assert check_docs.check_database_calls(path, handle.read(),
+                                                   attributes) == []
+    text = ('Open `conn = db.connect()`; the old `db.query("SELECT 1")` '
+            "is gone.\n")
+    assert check_docs.check_database_calls("docs/X.md", text, attributes) == [
+        "docs/X.md: db.query() is not a Database attribute"]
 
 
 def test_surface_check_reads_current_docs_but_not_history():

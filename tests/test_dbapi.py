@@ -9,14 +9,14 @@ extensions this driver provides (``lastrowid``, ``executescript``,
 The ``conn`` fixture is parameterized over the two ways of reaching the
 engine — in-process (``repro.connect``) and over the network
 (``repro.client.connect`` against a live :class:`repro.server.DatabaseServer`)
-— so every conformance case doubles as a wire-protocol parity check.  Cases
-that inherently need the in-process ``Database`` object call
-:func:`local_database`, which skips under the network parameterization.
+— so every conformance case doubles as a wire-protocol parity check.  The
+``connect_as`` fixture opens a second connection to the same engine as a
+given user on either transport.  Cases that inherently need the in-process
+``Database`` object call :func:`local_database`, which skips under the
+network parameterization.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -35,21 +35,45 @@ def _seed(connection):
 
 
 @pytest.fixture(params=["inprocess", "server"])
-def conn(request):
+def transport(request):
+    """``(connection, connect_as)``: a seeded admin connection, and a factory
+    that opens another connection to the same engine as a given user."""
+    opened = []
+    server = None
     if request.param == "inprocess":
         connection = repro.connect()
-        _seed(connection)
-        yield connection
-        connection.close()
-        return
-    server = start_server()
-    connection = repro.client.connect(port=server.port)
+
+        def open_as(user):
+            return connection.database.connect(user=user)
+    else:
+        server = start_server()
+        connection = repro.client.connect(port=server.port)
+
+        def open_as(user):
+            return repro.client.connect(port=server.port, user=user)
+
+    def connect_as(user):
+        opened.append(open_as(user))
+        return opened[-1]
+
     try:
         _seed(connection)
-        yield connection
-        connection.close()
+        yield connection, connect_as
+        for other in [*opened, connection]:
+            other.close()
     finally:
-        server.shutdown()
+        if server is not None:
+            server.shutdown()
+
+
+@pytest.fixture
+def conn(transport):
+    return transport[0]
+
+
+@pytest.fixture
+def connect_as(transport):
+    return transport[1]
 
 
 def local_database(conn):
@@ -187,8 +211,8 @@ class TestConnection:
         import os
         assert os.path.getsize(path) > 0
 
-    def test_database_connect_shares_database(self, conn):
-        other = local_database(conn).connect(user="admin")
+    def test_database_connect_shares_database(self, conn, connect_as):
+        other = connect_as("admin")
         row = other.execute("SELECT COUNT(*) FROM samples").fetchone()
         assert row[0] == 5
         other.close()           # non-owning close leaves the database open
@@ -413,8 +437,8 @@ class TestErrorMapping:
         with pytest.raises(repro.DatabaseError):
             conn.execute("SELECT 1 / 0").fetchall()
 
-    def test_authorization_error_is_operational(self, conn):
-        restricted = local_database(conn).connect(user="guest")
+    def test_authorization_error_is_operational(self, connect_as):
+        restricted = connect_as("guest")
         with pytest.raises(repro.OperationalError):
             restricted.execute("DROP TABLE samples")
 
@@ -432,35 +456,12 @@ class TestErrorMapping:
 
 
 # ---------------------------------------------------------------------------
-# Legacy surface integration
+# Scripts and A-SQL through cursors
 # ---------------------------------------------------------------------------
-class TestLegacyShims:
-    def test_database_execute_warns_deprecation(self, conn):
-        database = local_database(conn)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            database.execute("SELECT 1")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_database_execute_rejects_placeholders(self, conn):
-        with pytest.raises(repro.ProgrammingError):
-            local_database(conn).execute("SELECT * FROM samples WHERE id = ?")
-
-    def test_database_execute_rejects_multi_statement(self, conn):
-        with pytest.raises(repro.ProgrammingError) as excinfo:
-            local_database(conn).execute(
-                "INSERT INTO samples VALUES (50, 'a', 0.0); "
-                "INSERT INTO samples VALUES (51, 'b', 0.0)")
-        assert "execute_script" in str(excinfo.value)
-        # And nothing was silently half-executed.
-        count = conn.execute("SELECT COUNT(*) FROM samples WHERE id >= ?",
-                             (50,)).fetchone()[0]
-        assert count == 0
-
+class TestScriptsAndAnnotations:
     def test_execute_script_rejects_placeholders(self, conn):
         with pytest.raises(repro.ProgrammingError):
-            local_database(conn).execute_script(
-                "INSERT INTO samples VALUES (?, 'x', 0.0);")
+            conn.executescript("INSERT INTO samples VALUES (?, 'x', 0.0);")
 
     def test_a_sql_annotations_flow_through_cursors(self, conn):
         cur = conn.cursor()

@@ -11,6 +11,7 @@ from repro.dependencies.bitmap import OutdatedBitmap
 from repro.dependencies.graph import DependencyGraph, cell_key
 from repro.dependencies.rules import DependencyRule, Procedure, RuleSet
 from repro.workloads import build_gene_protein_pipeline
+from sql_helpers import bodies_of, details, fetch, run, values
 
 
 def make_rule(name, sources, targets, executable=False, impl=None,
@@ -199,9 +200,10 @@ class TestOutdatedBitmap:
 class TestTrackerScenarios:
     def test_figure9_gene_update_recomputes_and_marks(self, pipeline_db):
         db = pipeline_db
-        summary = db.execute("UPDATE Gene SET GSequence = 'ATGCCCGGGTTT' WHERE GID = 'JW0002'")
-        recomputed = summary.details["recomputed"]
-        outdated = summary.details["marked_outdated"]
+        summary = details(
+            db, "UPDATE Gene SET GSequence = 'ATGCCCGGGTTT' WHERE GID = 'JW0002'")
+        recomputed = summary["recomputed"]
+        outdated = summary["marked_outdated"]
         assert any(cell[2] == "psequence" for cell in recomputed)
         assert any(cell[2] == "pfunction" for cell in outdated)
         # PSequence was actually recomputed by the prediction tool.
@@ -210,16 +212,16 @@ class TestTrackerScenarios:
 
     def test_outdated_status_annotation_propagates_in_queries(self, pipeline_db):
         db = pipeline_db
-        db.execute("UPDATE Gene SET GSequence = 'ATGAAA' WHERE GID = 'JW0003'")
-        result = db.query("SELECT PName, PFunction FROM Protein")
-        flagged = [index for index in range(len(result)) if result.annotations_of(index)]
+        run(db, "UPDATE Gene SET GSequence = 'ATGAAA' WHERE GID = 'JW0003'")
+        result = fetch(db, "SELECT PName, PFunction FROM Protein")
+        flagged = [index for index in range(len(result)) if result[index].all_annotations()]
         assert len(flagged) == 1
-        body = result.annotation_bodies(flagged[0])[0]
+        body = bodies_of(result[flagged[0]].all_annotations())[0]
         assert "OUTDATED" in body and "PFunction" in body
 
     def test_revalidation_clears_the_flag(self, pipeline_db):
         db = pipeline_db
-        db.execute("UPDATE Gene SET GSequence = 'ATGAAA' WHERE GID = 'JW0004'")
+        run(db, "UPDATE Gene SET GSequence = 'ATGAAA' WHERE GID = 'JW0004'")
         cells = db.tracker.outdated_cells("Protein")
         assert cells
         tuple_id, column = cells[0]
@@ -229,18 +231,18 @@ class TestTrackerScenarios:
 
     def test_blast_rule_recomputes_evalue(self, pipeline_db):
         db = pipeline_db
-        before = db.query("SELECT Evalue FROM GeneMatching").values()
-        summary = db.execute("UPDATE GeneMatching SET Gene1 = 'AAAAAAAAAA'")
-        assert all(cell[2] == "evalue" for cell in summary.details["recomputed"])
-        after = db.query("SELECT Evalue FROM GeneMatching").values()
+        before = values(db, "SELECT Evalue FROM GeneMatching")
+        summary = details(db, "UPDATE GeneMatching SET Gene1 = 'AAAAAAAAAA'")
+        assert all(cell[2] == "evalue" for cell in summary["recomputed"])
+        after = values(db, "SELECT Evalue FROM GeneMatching")
         assert before != after
         # Evalue is recomputed, never marked outdated (it is executable).
         assert db.tracker.outdated_report().get("GeneMatching") is None
 
     def test_delete_marks_dependents_outdated(self, pipeline_db):
         db = pipeline_db
-        summary = db.execute("DELETE FROM Gene WHERE GID = 'JW0005'")
-        outdated = summary.details["marked_outdated"]
+        outdated = details(
+            db, "DELETE FROM Gene WHERE GID = 'JW0005'")["marked_outdated"]
         assert any(cell[0] == "protein" for cell in outdated)
 
     def test_procedure_changed_refreshes_closure(self, pipeline_db):
@@ -250,21 +252,21 @@ class TestTrackerScenarios:
         assert len(impact.marked_outdated) == len(db.table("Protein"))
 
     def test_cross_table_rule_requires_link_keys(self, db):
-        db.execute("CREATE TABLE A (k TEXT, v TEXT)")
-        db.execute("CREATE TABLE B (k TEXT, w TEXT)")
+        run(db, "CREATE TABLE A (k TEXT, v TEXT)")
+        run(db, "CREATE TABLE B (k TEXT, w TEXT)")
         rule = make_rule("bad", [("A", "v")], [("B", "w")])
         with pytest.raises(DependencyError):
             db.tracker.register_rule(rule)
 
     def test_instance_level_dependency(self, db):
-        db.execute("CREATE TABLE T (a TEXT, b TEXT)")
-        db.execute("INSERT INTO T VALUES ('x', 'y'), ('p', 'q')")
+        run(db, "CREATE TABLE T (a TEXT, b TEXT)")
+        run(db, "INSERT INTO T VALUES ('x', 'y'), ('p', 'q')")
         db.tracker.register_instance_dependency(("T", 0, "a"), ("T", 1, "b"),
                                                 "manual curation")
-        summary = db.execute("UPDATE T SET a = 'z' WHERE a = 'x'")
-        assert ("t", 1, "b") in summary.details["marked_outdated"]
+        summary = details(db, "UPDATE T SET a = 'z' WHERE a = 'x'")
+        assert ("t", 1, "b") in summary["marked_outdated"]
 
     def test_instance_dependency_validates_cells(self, db):
-        db.execute("CREATE TABLE T (a TEXT)")
+        run(db, "CREATE TABLE T (a TEXT)")
         with pytest.raises(DependencyError):
             db.tracker.register_instance_dependency(("T", 99, "a"), ("T", 0, "a"), "p")

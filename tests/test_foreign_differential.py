@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro import Database
+from sql_helpers import fetch, run
 from tests.test_join_differential import (
     CONSUMERS,
     canonical,
@@ -54,14 +55,14 @@ def build_foreign_db(tmp_path, pushdown: bool = True) -> Database:
                     "ON (SELECT cust FROM customer WHERE region = 'east')")
 
     db = Database()
-    db.execute("CREATE TABLE payment (pid INTEGER PRIMARY KEY, oid INTEGER, "
-               "method TEXT)")
+    run(db, "CREATE TABLE payment (pid INTEGER PRIMARY KEY, oid INTEGER, "
+            "method TEXT)")
     for i in range(25):
-        db.execute(f"INSERT INTO payment VALUES ({i}, {i % 40}, 'm{i % 2}')")
+        run(db, f"INSERT INTO payment VALUES ({i}, {i % 40}, 'm{i % 2}')")
     option = "" if pushdown else ", pushdown false"
-    db.execute(f"ATTACH '{csv_path}' AS orders (TYPE csv{option})")
-    db.execute(f"ATTACH '{jsonl_path}' AS tags (TYPE jsonl{option})")
-    db.execute(f"ATTACH '{remote_path}' AS customer (TYPE repro{option})")
+    run(db, f"ATTACH '{csv_path}' AS orders (TYPE csv{option})")
+    run(db, f"ATTACH '{jsonl_path}' AS tags (TYPE jsonl{option})")
+    run(db, f"ATTACH '{remote_path}' AS customer (TYPE repro{option})")
     return db
 
 
@@ -159,11 +160,11 @@ def test_repro_annotations_match_native_source(tmp_path):
 
     query = "SELECT iid, label FROM item ANNOTATION(prov) WHERE iid < 6"
     with Database(remote_path) as source:
-        native = canonical(source.query(query))
+        native = canonical(fetch(source, query))
 
     db = Database()
-    db.execute(f"ATTACH '{remote_path}' AS item (TYPE repro)")
-    foreign = canonical(db.query(query))
+    run(db, f"ATTACH '{remote_path}' AS item (TYPE repro)")
+    foreign = canonical(fetch(db, query))
     assert foreign == native
     assert any(annotations != ((), ()) for _, annotations in foreign)
     db.close()
@@ -184,10 +185,10 @@ def test_foreign_pushdown_actually_reduces_transfer(foreign_db):
 
     type(provider).scan_batches = counting
     try:
-        foreign_db.query("SELECT oid FROM orders WHERE oid = 3")
+        fetch(foreign_db, "SELECT oid FROM orders WHERE oid = 3")
         filtered = sum(counted)
         counted.clear()
-        foreign_db.query("SELECT oid FROM orders")
+        fetch(foreign_db, "SELECT oid FROM orders")
         full = sum(counted)
     finally:
         type(provider).scan_batches = original

@@ -14,6 +14,7 @@ import pytest
 
 from repro import Database
 from repro.workloads import build_gene_protein_pipeline, dna_sequence
+from sql_helpers import bodies_of, fetch, run, values
 
 
 class TestCuratedDatabaseLifecycle:
@@ -31,18 +32,18 @@ class TestCuratedDatabaseLifecycle:
                              agent="loader")
 
         # 2. Users annotate their data through A-SQL.
-        db.execute("CREATE ANNOTATION TABLE Comments ON Gene")
-        db.execute(
-            "ADD ANNOTATION TO Gene.Comments VALUE 'verified by Sanger resequencing' "
+        run(db, "CREATE ANNOTATION TABLE Comments ON Gene")
+        run(
+            db, "ADD ANNOTATION TO Gene.Comments VALUE 'verified by Sanger resequencing' "
             "ON (SELECT G.GSequence FROM Gene G WHERE G.GID = 'JW0000')"
         )
 
         # 3. Content approval is switched on; a lab member updates a sequence.
-        db.execute("GRANT SELECT, UPDATE ON Gene TO alice")
-        db.execute("START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY admin")
+        run(db, "GRANT SELECT, UPDATE ON Gene TO alice")
+        run(db, "START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY admin")
         new_sequence = dna_sequence(60, rng)
-        db.execute(
-            f"UPDATE Gene SET GSequence = '{new_sequence}' WHERE GID = 'JW0001'",
+        run(
+            db, f"UPDATE Gene SET GSequence = '{new_sequence}' WHERE GID = 'JW0001'",
             user="alice",
         )
 
@@ -51,22 +52,22 @@ class TestCuratedDatabaseLifecycle:
         assert "Protein" in outdated and len(outdated["Protein"]) == 1
 
         # 5. Query answers expose annotations, provenance, and outdated status.
-        result = db.query(
-            "SELECT GID, GSequence FROM Gene ANNOTATION(provenance, Comments)"
+        result = fetch(
+            db, "SELECT GID, GSequence FROM Gene ANNOTATION(provenance, Comments)"
         )
-        first_row_tables = {a.annotation_table for a in result.annotations_of(0)}
+        first_row_tables = {a.annotation_table for a in result[0].all_annotations()}
         assert "Gene.provenance" in first_row_tables
         assert "Gene.Comments" in first_row_tables
-        protein_result = db.query("SELECT PName, PFunction FROM Protein")
+        protein_result = fetch(db, "SELECT PName, PFunction FROM Protein")
         assert any("OUTDATED" in body
                    for i in range(len(protein_result))
-                   for body in protein_result.annotation_bodies(i))
+                   for body in bodies_of(protein_result[i].all_annotations()))
 
         # 6. The admin disapproves the update: the inverse statement restores
         #    the sequence and dependency tracking reconciles the protein.
         op = db.approval.pending_operations()[0]
         db.approval.disapprove(op.op_id, "admin")
-        restored = db.query("SELECT GSequence FROM Gene WHERE GID = 'JW0001'").values()[0][0]
+        restored = values(db, "SELECT GSequence FROM Gene WHERE GID = 'JW0001'")[0][0]
         assert restored != new_sequence
 
         # 7. The wet lab revalidates the outdated function measurement.
@@ -86,16 +87,16 @@ class TestAnnotationSchemesAgreeEndToEnd:
     def test_queries_identical_across_schemes(self, scheme):
         from repro import EngineConfig
         db = Database(config=EngineConfig(default_annotation_scheme=scheme))
-        db.execute("CREATE TABLE T (k INTEGER PRIMARY KEY, v TEXT)")
-        db.execute("CREATE ANNOTATION TABLE notes ON T")
+        run(db, "CREATE TABLE T (k INTEGER PRIMARY KEY, v TEXT)")
+        run(db, "CREATE ANNOTATION TABLE notes ON T")
         for index in range(20):
-            db.execute(f"INSERT INTO T VALUES ({index}, 'value-{index}')")
-        db.execute("ADD ANNOTATION TO T.notes VALUE 'whole column' "
-                   "ON (SELECT x.v FROM T x)")
-        db.execute("ADD ANNOTATION TO T.notes VALUE 'small block' "
-                   "ON (SELECT x.* FROM T x WHERE k BETWEEN 3 AND 6)")
-        result = db.query("SELECT k, v FROM T ANNOTATION(notes) ORDER BY k")
-        per_row = [len(result.annotations_of(i)) for i in range(len(result))]
+            run(db, f"INSERT INTO T VALUES ({index}, 'value-{index}')")
+        run(db, "ADD ANNOTATION TO T.notes VALUE 'whole column' "
+                "ON (SELECT x.v FROM T x)")
+        run(db, "ADD ANNOTATION TO T.notes VALUE 'small block' "
+                "ON (SELECT x.* FROM T x WHERE k BETWEEN 3 AND 6)")
+        result = fetch(db, "SELECT k, v FROM T ANNOTATION(notes) ORDER BY k")
+        per_row = [len(result[i].all_annotations()) for i in range(len(result))]
         expected = [1 if not 3 <= k <= 6 else 2 for k in range(20)]
         assert per_row == expected
 
@@ -106,15 +107,15 @@ class TestPersistenceAcrossIo:
     def test_large_table_with_small_pool(self, tmp_path):
         from repro.executor.engine import EngineConfig
         db = Database(str(tmp_path / "big.db"), pool_size=4)
-        db.execute("CREATE TABLE seqs (id INTEGER PRIMARY KEY, body SEQUENCE)")
+        run(db, "CREATE TABLE seqs (id INTEGER PRIMARY KEY, body SEQUENCE)")
         rng = random.Random(1)
         for index in range(200):
-            db.execute(f"INSERT INTO seqs VALUES ({index}, '{dna_sequence(80, rng)}')")
+            run(db, f"INSERT INTO seqs VALUES ({index}, '{dna_sequence(80, rng)}')")
         assert db.io_statistics().page_writes > 0
         db.reset_io_statistics()
         db.catalog.pool.clear()
-        result = db.query("SELECT COUNT(*) FROM seqs")
-        assert result.values() == [(200,)]
+        result = values(db, "SELECT COUNT(*) FROM seqs")
+        assert result == [(200,)]
         # A cold scan of a multi-page table must read more than one page.
         assert db.io_statistics().page_reads > 1
         db.close()
@@ -124,16 +125,16 @@ class TestAnnotateThenDependencyInteraction:
     def test_outdated_annotations_coexist_with_user_annotations(self):
         db = Database()
         build_gene_protein_pipeline(db, num_genes=6, seed=3, with_matching=False)
-        db.execute("CREATE ANNOTATION TABLE Notes ON Protein")
-        db.execute("ADD ANNOTATION TO Protein.Notes VALUE 'reviewed 2026' "
-                   "ON (SELECT P.* FROM Protein P)")
-        db.execute("UPDATE Gene SET GSequence = 'ATGATGATG' WHERE GID = 'JW0002'")
-        result = db.query("SELECT PName, PFunction FROM Protein ANNOTATION(Notes)")
+        run(db, "CREATE ANNOTATION TABLE Notes ON Protein")
+        run(db, "ADD ANNOTATION TO Protein.Notes VALUE 'reviewed 2026' "
+                "ON (SELECT P.* FROM Protein P)")
+        run(db, "UPDATE Gene SET GSequence = 'ATGATGATG' WHERE GID = 'JW0002'")
+        result = fetch(db, "SELECT PName, PFunction FROM Protein ANNOTATION(Notes)")
         # Every row has the user annotation; exactly one also has the system
         # outdated annotation.
         has_outdated = 0
         for index in range(len(result)):
-            bodies = result.annotation_bodies(index)
+            bodies = bodies_of(result[index].all_annotations())
             assert any("reviewed 2026" in body for body in bodies)
             if any("OUTDATED" in body for body in bodies):
                 has_outdated += 1

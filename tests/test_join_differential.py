@@ -13,33 +13,33 @@ the streaming pipeline gives ``LIMIT`` O(limit), not O(n), peak memory.
 from __future__ import annotations
 
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
 from repro import Database, EngineConfig
 from repro.planner.plan import plan_strategies
+from sql_helpers import fetch, run, values
 
 
 def build_db() -> Database:
     db = Database()
-    db.execute("CREATE TABLE gene (gid TEXT PRIMARY KEY, name TEXT, score FLOAT)")
-    db.execute("CREATE TABLE protein (pid INTEGER PRIMARY KEY, gid TEXT, kind TEXT, "
-               "score FLOAT)")
-    db.execute("CREATE ANNOTATION TABLE gnote ON gene")
-    db.execute("CREATE ANNOTATION TABLE pnote ON protein")
+    run(db, "CREATE TABLE gene (gid TEXT PRIMARY KEY, name TEXT, score FLOAT)")
+    run(db, "CREATE TABLE protein (pid INTEGER PRIMARY KEY, gid TEXT, kind TEXT, "
+            "score FLOAT)")
+    run(db, "CREATE ANNOTATION TABLE gnote ON gene")
+    run(db, "CREATE ANNOTATION TABLE pnote ON protein")
     for i in range(12):
-        db.execute(f"INSERT INTO gene VALUES ('G{i}', 'gene{i}', {i * 1.5})")
+        run(db, f"INSERT INTO gene VALUES ('G{i}', 'gene{i}', {i * 1.5})")
     for i in range(30):
         # Some genes match several proteins, some none; some proteins dangle.
         gid = f"'G{i % 15}'" if i % 5 else "NULL"
-        db.execute(f"INSERT INTO protein VALUES ({i}, {gid}, 'k{i % 3}', {i * 0.5})")
-    db.execute("ADD ANNOTATION TO gene.gnote VALUE 'curated gene' "
-               "ON (SELECT g.gid FROM gene g WHERE g.score > 6)")
-    db.execute("ADD ANNOTATION TO gene.gnote VALUE 'reviewed' "
-               "ON (SELECT g.name FROM gene g WHERE g.gid = 'G3')")
-    db.execute("ADD ANNOTATION TO protein.pnote VALUE 'predicted protein' "
-               "ON (SELECT p.kind FROM protein p WHERE p.pid < 10)")
+        run(db, f"INSERT INTO protein VALUES ({i}, {gid}, 'k{i % 3}', {i * 0.5})")
+    run(db, "ADD ANNOTATION TO gene.gnote VALUE 'curated gene' "
+            "ON (SELECT g.gid FROM gene g WHERE g.score > 6)")
+    run(db, "ADD ANNOTATION TO gene.gnote VALUE 'reviewed' "
+            "ON (SELECT g.name FROM gene g WHERE g.gid = 'G3')")
+    run(db, "ADD ANNOTATION TO protein.pnote VALUE 'predicted protein' "
+            "ON (SELECT p.kind FROM protein p WHERE p.pid < 10)")
     return db
 
 
@@ -108,41 +108,39 @@ INDEXED_STRATEGIES = ("auto", "hash", "merge", "index_nested_loop")
 #: Batch sizes the vectorized pipeline must be invariant under: degenerate
 #: one-row batches, a tiny ramp, and the full default.
 BATCH_SIZES = (1, 2, 1024)
-#: The three ways a caller consumes the one pipeline: a drained result set
-#: (``Engine.execute_query``), a lazy stream pulled a few rows at a time
-#: (``Engine.stream_query``), and a DB-API cursor over the prepared-plan path.
-CONSUMERS = ("drained", "streamed", "cursor")
+#: The two ways a caller reads the one pipeline through a DB-API cursor (the
+#: prepared-plan path): drained by ``fetchall`` and pulled a few rows at a
+#: time by ``fetchmany(3)``.
+CONSUMERS = ("fetchall", "fetchmany")
 
 
-def canonical(result):
+def canonical(rows):
     """Order-independent form of a result: values + per-column annotations."""
-    rows = []
-    for row in result.rows:
+    out = []
+    for row in rows:
         annotations = tuple(
             tuple(sorted((a.annotation_table, a.ann_id) for a in anns))
             for anns in row.annotations
         )
-        rows.append((row.values, annotations))
-    return sorted(rows, key=repr)
+        out.append((row.values, annotations))
+    return sorted(out, key=repr)
 
 
-def consume(db: Database, query: str, consumer: str = "drained"):
-    """Run ``query`` and collect its rows through one of :data:`CONSUMERS`."""
-    if consumer == "drained":
-        return db.query(query)
-    if consumer == "streamed":
-        stream = db.stream(query)
-        rows = []
-        while chunk := stream.fetchmany(3):
-            rows.extend(chunk)
-        return SimpleNamespace(rows=rows)
-    assert consumer == "cursor", consumer
+def consume(db: Database, query: str, consumer: str = "fetchall"):
+    """Run ``query`` on a cursor and collect its rows through one of
+    :data:`CONSUMERS`."""
     cursor = db.connect().cursor().execute(query)
-    return SimpleNamespace(rows=cursor.fetchall())
+    if consumer == "fetchall":
+        return cursor.fetchall()
+    assert consumer == "fetchmany", consumer
+    rows = []
+    while chunk := cursor.fetchmany(3):
+        rows.extend(chunk)
+    return rows
 
 
 def run_query(db: Database, query: str, strategy: str,
-              batch_size: int = 1024, consumer: str = "drained"):
+              batch_size: int = 1024, consumer: str = "fetchall"):
     """Run one query under a forced (strategy, batch size, consumer) triple."""
     db.config.join_strategy = strategy
     db.config.batch_size = batch_size
@@ -166,10 +164,10 @@ def diff_db() -> Database:
 @pytest.fixture(scope="module")
 def indexed_db() -> Database:
     db = build_db()
-    db.execute("CREATE INDEX ix_gene_gid ON gene (gid) USING btree")
-    db.execute("CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
-    db.execute("CREATE INDEX ix_protein_kind ON protein (kind) USING hash")
-    db.execute("CREATE INDEX ix_gene_score ON gene (score) USING btree")
+    run(db, "CREATE INDEX ix_gene_gid ON gene (gid) USING btree")
+    run(db, "CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
+    run(db, "CREATE INDEX ix_protein_kind ON protein (kind) USING hash")
+    run(db, "CREATE INDEX ix_gene_score ON gene (score) USING btree")
     return db
 
 
@@ -215,7 +213,7 @@ def test_indexed_strategy_agrees_with_nested_loop(indexed_db, shape, strategy,
 
 def test_indexed_auto_picks_index_nested_loop(indexed_db):
     indexed_db.config.join_strategy = "auto"
-    indexed_db.query(QUERY_SHAPES["equi_join"])
+    fetch(indexed_db, QUERY_SHAPES["equi_join"])
     assert "index_nested_loop" in plan_strategies(indexed_db.engine.last_plan)
     explained = indexed_db.explain(QUERY_SHAPES["equi_join"])
     assert "IndexNestedLoopJoin" in explained.message
@@ -226,7 +224,7 @@ def test_indexed_auto_picks_range_scan_and_elides_sort(indexed_db):
     ORDER BY shape runs off the score index with the sort elided."""
     from repro.planner.plan import plan_access_paths
     indexed_db.config.join_strategy = "auto"
-    indexed_db.query(QUERY_SHAPES["range_between_order"])
+    fetch(indexed_db, QUERY_SHAPES["range_between_order"])
     assert "index_range" in plan_access_paths(indexed_db.engine.last_plan)
     assert indexed_db.engine.last_sort_elided
     explained = indexed_db.explain(QUERY_SHAPES["range_between_order"])
@@ -234,10 +232,10 @@ def test_indexed_auto_picks_range_scan_and_elides_sort(indexed_db):
     assert "[sort: elided]" in explained.message
     # The returned order matches the explicit sort of the naive pipeline.
     ordered = run_query(indexed_db, QUERY_SHAPES["range_between_order"],
-                        "auto").values()
+                        "auto")
     baseline = run_query(indexed_db, QUERY_SHAPES["range_between_order"],
-                         "nested_loop").values()
-    assert ordered == baseline
+                         "nested_loop")
+    assert [row.values for row in ordered] == [row.values for row in baseline]
 
 
 def test_forced_index_join_on_left_join(indexed_db):
@@ -248,7 +246,7 @@ def test_forced_index_join_on_left_join(indexed_db):
     assert candidate == baseline
     indexed_db.config.join_strategy = "index_nested_loop"
     try:
-        indexed_db.query(query)
+        fetch(indexed_db, query)
         assert plan_strategies(indexed_db.engine.last_plan) == ["index_nested_loop"]
     finally:
         indexed_db.config.join_strategy = "auto"
@@ -258,12 +256,12 @@ def test_indexed_differential_with_dml_between_runs():
     """Index maintenance (insert/delete/update, NULL keys) must keep the
     index-backed paths in lock-step with the naive pipeline."""
     db = build_db()
-    db.execute("CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
-    db.execute("DELETE FROM protein WHERE pid >= 25")
-    db.execute("INSERT INTO protein VALUES (99, 'G1', 'k9', 9.9)")
-    db.execute("INSERT INTO protein VALUES (100, NULL, 'k9', 1.0)")
-    db.execute("UPDATE protein SET gid = 'G2' WHERE pid = 99")
-    db.execute("UPDATE protein SET gid = NULL WHERE pid = 3")
+    run(db, "CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
+    run(db, "DELETE FROM protein WHERE pid >= 25")
+    run(db, "INSERT INTO protein VALUES (99, 'G1', 'k9', 9.9)")
+    run(db, "INSERT INTO protein VALUES (100, NULL, 'k9', 1.0)")
+    run(db, "UPDATE protein SET gid = 'G2' WHERE pid = 99")
+    run(db, "UPDATE protein SET gid = NULL WHERE pid = 3")
     query = QUERY_SHAPES["equi_join"]
     baseline = nested_loop_baseline(db, query)
     for strategy in INDEXED_STRATEGIES:
@@ -274,7 +272,7 @@ def test_indexed_differential_with_dml_between_runs():
 def wide_db() -> Database:
     """A 100k-row table for the streaming-memory proof."""
     db = Database()
-    db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, v FLOAT)")
+    run(db, "CREATE TABLE big (id INTEGER PRIMARY KEY, v FLOAT)")
     table = db.table("big")
     for i in range(100_000):
         table.insert_row({"id": i, "v": i * 0.5})
@@ -291,7 +289,7 @@ def test_limit_over_large_scan_peaks_at_o_limit_memory(wide_db):
     def peak(sql: str, rows: int) -> int:
         tracemalloc.start()
         try:
-            result = wide_db.query(sql)
+            result = fetch(wide_db, sql)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -305,7 +303,7 @@ def test_limit_over_large_scan_peaks_at_o_limit_memory(wide_db):
 
 
 def test_batched_stream_decodes_lazily(wide_db, monkeypatch):
-    """Database.stream produces rows on demand, and the batched pipeline's
+    """A cursor produces rows on demand, and the batched pipeline's
     laziness unit is the page: pulling a handful of rows from a 100k-row
     stream decodes at most a couple of pages."""
     from repro.storage.heap_file import HeapFile
@@ -317,7 +315,7 @@ def test_batched_stream_decodes_lazily(wide_db, monkeypatch):
         return original(self, page_id, with_tuple_ids)
 
     monkeypatch.setattr(HeapFile, "scan_page_rows", counting)
-    stream = wide_db.stream("SELECT id FROM big WHERE v >= 0")
+    stream = run(wide_db, "SELECT id FROM big WHERE v >= 0")
     first_three = [next(stream) for _ in range(3)]
     assert [row.values for row in first_three] == [(0,), (1,), (2,)]
     assert 0 < len(pages) <= 2
@@ -339,7 +337,7 @@ SPILL_SHAPES = ("equi_join", "three_way_join", "explicit_left_join",
 
 def run_with_budget(db: Database, query: str, strategy: str,
                     budget: int, batch_size: int = 1024,
-                    consumer: str = "drained"):
+                    consumer: str = "fetchall"):
     db.config.memory_budget_rows = budget
     try:
         return run_query(db, query, strategy, batch_size, consumer)
@@ -389,7 +387,7 @@ def test_forced_strategies_actually_differ(diff_db):
     observed = {}
     for strategy in ("nested_loop", "hash", "merge", "auto"):
         diff_db.config.join_strategy = strategy
-        diff_db.query(query)
+        fetch(diff_db, query)
         observed[strategy] = plan_strategies(diff_db.engine.last_plan)
     diff_db.config.join_strategy = "auto"
     assert observed["hash"] == ["hash"]
@@ -400,15 +398,15 @@ def test_forced_strategies_actually_differ(diff_db):
 
 def test_auto_falls_back_to_nested_loop_for_non_equi(diff_db):
     diff_db.config.join_strategy = "auto"
-    diff_db.query(QUERY_SHAPES["non_equi_join"])
+    fetch(diff_db, QUERY_SHAPES["non_equi_join"])
     assert plan_strategies(diff_db.engine.last_plan) == ["cross"]
 
 
 def test_analyze_improves_join_order(diff_db):
     """With statistics, the smaller (more selective) side becomes the build."""
     diff_db.config.join_strategy = "auto"
-    diff_db.execute("ANALYZE gene")
-    diff_db.execute("ANALYZE protein")
+    run(diff_db, "ANALYZE gene")
+    run(diff_db, "ANALYZE protein")
     explained = diff_db.explain(QUERY_SHAPES["equi_join_with_filters"])
     plan = explained.details["plan"]
     assert plan["node"] == "HashJoin"
@@ -421,15 +419,15 @@ def test_analyze_improves_join_order(diff_db):
 def test_differential_with_dml_between_runs():
     """Statistics staleness hooks must not change results, only estimates."""
     db = build_db()
-    db.execute("ANALYZE")
-    db.execute("DELETE FROM protein WHERE pid >= 25")
-    db.execute("INSERT INTO protein VALUES (99, 'G1', 'k9', 9.9)")
+    run(db, "ANALYZE")
+    run(db, "DELETE FROM protein WHERE pid >= 25")
+    run(db, "INSERT INTO protein VALUES (99, 'G1', 'k9', 9.9)")
     query = QUERY_SHAPES["equi_join"]
     db.config.join_strategy = "nested_loop"
-    baseline = canonical(db.query(query))
+    baseline = canonical(fetch(db, query))
     for strategy in STRATEGIES:
         db.config.join_strategy = strategy
-        assert canonical(db.query(query)) == baseline
+        assert canonical(fetch(db, query)) == baseline
 
 
 def test_where_on_left_join_nullable_side_filters_padded_rows():
@@ -437,38 +435,43 @@ def test_where_on_left_join_nullable_side_filters_padded_rows():
     is evaluated after the join, so NULL-padded rows fail it — the predicate
     must not be pushed below the join."""
     db = Database()
-    db.execute("CREATE TABLE l (id INTEGER PRIMARY KEY)")
-    db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, v INTEGER)")
-    db.execute("INSERT INTO l VALUES (1), (2)")
-    db.execute("INSERT INTO r VALUES (1, 1)")
+    run(db, "CREATE TABLE l (id INTEGER PRIMARY KEY)")
+    run(db, "CREATE TABLE r (id INTEGER PRIMARY KEY, v INTEGER)")
+    run(db, "INSERT INTO l VALUES (1), (2)")
+    run(db, "INSERT INTO r VALUES (1, 1)")
     query = "SELECT l.id, r.v FROM l LEFT JOIN r ON l.id = r.id WHERE r.v = 1"
     for strategy in ("nested_loop", "hash", "merge", "auto"):
         db.config.join_strategy = strategy
-        assert sorted(db.query(query).values()) == [(1, 1)], strategy
+        assert sorted(values(db, query)) == [(1, 1)], strategy
     # Without the WHERE, the padded row is still produced.
     db.config.join_strategy = "auto"
-    padded = db.query("SELECT l.id, r.v FROM l LEFT JOIN r ON l.id = r.id")
-    assert sorted(padded.values(), key=repr) == [(1, 1), (2, None)]
+    padded = values(db, "SELECT l.id, r.v FROM l LEFT JOIN r ON l.id = r.id")
+    assert sorted(padded, key=repr) == [(1, 1), (2, None)]
 
 
 def test_select_star_column_order_survives_reordering():
     """Join reordering must not leak into the SELECT * column order."""
     db = Database()
-    db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, bval TEXT)")
-    db.execute("CREATE TABLE small (id INTEGER PRIMARY KEY, sval TEXT)")
+    run(db, "CREATE TABLE big (id INTEGER PRIMARY KEY, bval TEXT)")
+    run(db, "CREATE TABLE small (id INTEGER PRIMARY KEY, sval TEXT)")
     for i in range(20):
-        db.execute(f"INSERT INTO big VALUES ({i}, 'b{i}')")
+        run(db, f"INSERT INTO big VALUES ({i}, 'b{i}')")
     for i in range(3):
-        db.execute(f"INSERT INTO small VALUES ({i}, 's{i}')")
+        run(db, f"INSERT INTO small VALUES ({i}, 's{i}')")
     # The greedy planner starts from ``small`` and hash-builds on it, even
     # though ``big`` comes first syntactically.
     query = "SELECT * FROM big, small WHERE big.id = small.id"
     db.config.join_strategy = "nested_loop"
-    baseline = db.query(query)
+    cursor = run(db, query)
+    baseline_columns = [column[0] for column in cursor.description]
+    baseline = cursor.fetchall()
     db.config.join_strategy = "auto"
-    candidate = db.query(query)
-    assert candidate.columns == baseline.columns == ["id", "bval", "id", "sval"]
-    assert sorted(candidate.values()) == sorted(baseline.values())
+    cursor = run(db, query)
+    columns = [column[0] for column in cursor.description]
+    candidate = cursor.fetchall()
+    assert columns == baseline_columns == ["id", "bval", "id", "sval"]
+    assert sorted(row.values for row in candidate) == \
+        sorted(row.values for row in baseline)
     assert canonical(candidate) == canonical(baseline)
 
 
@@ -476,8 +479,8 @@ def test_nan_join_keys_agree_across_strategies():
     """NaN keys must behave identically under every strategy (NaN = NaN
     matches, NaN never equals a real number)."""
     db = Database()
-    db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, x FLOAT)")
-    db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, y FLOAT)")
+    run(db, "CREATE TABLE a (id INTEGER PRIMARY KEY, x FLOAT)")
+    run(db, "CREATE TABLE b (id INTEGER PRIMARY KEY, y FLOAT)")
     nan = float("nan")
     for i, value in enumerate([nan, 1.0, 2.0]):
         db.table("a").insert_row({"id": i, "x": value})
@@ -487,7 +490,7 @@ def test_nan_join_keys_agree_across_strategies():
     results = {}
     for strategy in ("nested_loop", "hash", "merge", "auto"):
         db.config.join_strategy = strategy
-        results[strategy] = sorted(db.query(query).values())
+        results[strategy] = sorted(values(db, query))
     # One real match (2.0 = 2.0) plus NaN = NaN pairs.
     assert results["nested_loop"] == [(0, 1), (0, 2), (2, 0)]
     for strategy in ("hash", "merge", "auto"):
@@ -498,15 +501,15 @@ def test_mixed_type_join_keys_stay_on_nested_loop():
     """TEXT-vs-INTEGER equality is not hashable/mergeable (string-form
     comparison is non-transitive), so the planner must not lift it."""
     db = Database()
-    db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, v TEXT)")
-    db.execute("CREATE TABLE b (code TEXT PRIMARY KEY, w TEXT)")
-    db.execute("INSERT INTO a VALUES (1, 'x'), (2, 'y')")
-    db.execute("INSERT INTO b VALUES ('1', 'p'), ('3', 'q')")
+    run(db, "CREATE TABLE a (id INTEGER PRIMARY KEY, v TEXT)")
+    run(db, "CREATE TABLE b (code TEXT PRIMARY KEY, w TEXT)")
+    run(db, "INSERT INTO a VALUES (1, 'x'), (2, 'y')")
+    run(db, "INSERT INTO b VALUES ('1', 'p'), ('3', 'q')")
     query = "SELECT a.id, b.code FROM a, b WHERE a.id = b.code"
     db.config.join_strategy = "nested_loop"
-    baseline = canonical(db.query(query))
+    baseline = canonical(fetch(db, query))
     db.config.join_strategy = "auto"
-    assert canonical(db.query(query)) == baseline
+    assert canonical(fetch(db, query)) == baseline
     assert plan_strategies(db.engine.last_plan) == ["cross"]
 
 
@@ -574,7 +577,7 @@ def run_cursor_query(db: Database, sql: str, params, strategy: str,
         else:
             assert fetch == "iterate", fetch
             rows = list(cursor)
-        return SimpleNamespace(rows=rows)
+        return rows
     finally:
         db.config.join_strategy = "auto"
         db.config.batch_size = 1024

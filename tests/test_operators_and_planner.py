@@ -6,7 +6,7 @@ import pytest
 
 from repro.annotations.model import Annotation
 from repro.core.errors import PlanningError
-from repro.executor.row import ColumnInfo, OutputSchema, ResultSet, Row, merge_annotation_vectors
+from repro.executor.row import ColumnInfo, OutputSchema, Row, merge_annotation_vectors
 from repro.executor import operators as ops
 from repro.planner.expressions import AnnotationPredicate, Evaluator, predicate_is_true
 from repro.planner.planner import (

@@ -8,13 +8,14 @@ import pytest
 
 from repro.core.errors import ProvenanceError
 from repro.provenance.manager import PROVENANCE_SCHEMA, ProvenanceRecord
+from sql_helpers import bodies_of, fetch, run, values
 
 
 @pytest.fixture
 def loaded(db):
-    db.execute("CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
-    db.execute("INSERT INTO Gene VALUES ('JW1', 'a', 'ATG'), ('JW2', 'b', 'CCC'), "
-               "('JW3', 'c', 'GGG')")
+    run(db, "CREATE TABLE Gene (GID TEXT PRIMARY KEY, GName TEXT, GSequence SEQUENCE)")
+    run(db, "INSERT INTO Gene VALUES ('JW1', 'a', 'ATG'), ('JW2', 'b', 'CCC'), "
+            "('JW3', 'c', 'GGG')")
     return db
 
 
@@ -97,19 +98,19 @@ class TestProvenanceQueries:
 
     def test_provenance_propagates_with_queries(self, loaded):
         self._load_figure8_history(loaded)
-        result = loaded.query("SELECT GID, GSequence FROM Gene ANNOTATION(provenance)")
-        bodies = result.annotation_bodies(0, "GSequence")
+        result = fetch(loaded, "SELECT GID, GSequence FROM Gene ANNOTATION(provenance)")
+        bodies = bodies_of(result[0].annotations[1])
         assert any("S3" in body for body in bodies)
         # GID carries no provenance in this history.
-        assert result.annotation_bodies(0, "GID") == []
+        assert bodies_of(result[0].annotations[0]) == []
 
     def test_awhere_over_provenance(self, loaded):
         self._load_figure8_history(loaded)
-        result = loaded.query(
-            "SELECT GID FROM Gene ANNOTATION(provenance) "
+        result = values(
+            loaded, "SELECT GID FROM Gene ANNOTATION(provenance) "
             "AWHERE annotation.value LIKE '%P1%'"
         )
-        assert result.values() == [("JW1",)]
+        assert result == [("JW1",)]
 
     def test_no_provenance_table_is_fine(self, loaded):
         assert loaded.provenance.sources_of_table("Gene") == {}

@@ -320,3 +320,12 @@ class TestLifecycle:
         conn.close()
         with pytest.raises(repro.client.NetworkConnection.InterfaceError):
             conn.cursor()
+
+    def test_lost_connection_releases_its_socket(self):
+        server = start_server()
+        conn = repro.client.connect(port=server.port)
+        server.shutdown()
+        with pytest.raises(OperationalError):
+            conn.execute("SELECT 1")
+        conn.close()
+        assert conn._sock.fileno() == -1

@@ -30,6 +30,7 @@ from repro.executor import operators as ops
 from repro.executor.row import ColumnInfo, OutputSchema, Row
 from repro.sql import ast
 from repro.storage.spill import SpillManager, SpillStats, clamp_partitions
+from sql_helpers import fetch, run, values
 from tests.test_join_differential import CONSUMERS, consume
 
 NAN = float("nan")
@@ -156,8 +157,8 @@ def _paired_dbs(budget):
     spilling = Database(memory_budget_rows=budget)
     baseline = Database()
     for db in (spilling, baseline):
-        db.execute("CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v FLOAT)")
-        db.execute("CREATE TABLE dim (id INTEGER PRIMARY KEY, k INTEGER, t TEXT)")
+        run(db, "CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v FLOAT)")
+        run(db, "CREATE TABLE dim (id INTEGER PRIMARY KEY, k INTEGER, t TEXT)")
     return spilling, baseline
 
 
@@ -178,13 +179,13 @@ class TestPartitionRecursion:
             _load(db, fact, dim)
         query = "SELECT fact.id, dim.id FROM fact, dim WHERE fact.k = dim.k"
         spilling.config.join_strategy = "hash"
-        got = sorted(spilling.query(query).values())
+        got = sorted(values(spilling, query))
         (event,) = spilling.engine.last_spill.events("hash_join")
         # 120 build rows over the default 8 partitions leaves ~15 rows per
         # partition, still over budget 4: recursion must have split again.
         assert event["recursive_splits"] > 0
         baseline.config.join_strategy = "nested_loop"
-        assert got == sorted(baseline.query(query).values())
+        assert got == sorted(values(baseline, query))
 
     def test_single_key_skew_stops_recursing_and_stays_correct(self):
         """Every build row shares one key: rehashing can never split the
@@ -196,10 +197,10 @@ class TestPartitionRecursion:
             _load(db, fact, dim)
         query = "SELECT fact.id, dim.id FROM fact, dim WHERE fact.k = dim.k"
         spilling.config.join_strategy = "hash"
-        got = sorted(spilling.query(query).values())
+        got = sorted(values(spilling, query))
         assert len(got) == 12 * 15
         baseline.config.join_strategy = "nested_loop"
-        assert got == sorted(baseline.query(query).values())
+        assert got == sorted(values(baseline, query))
 
     def test_group_by_partitions_recurse_on_skew(self):
         spilling, baseline = _paired_dbs(5)
@@ -207,23 +208,23 @@ class TestPartitionRecursion:
         for db in (spilling, baseline):
             _load(db, fact, [])
         query = "SELECT k, COUNT(*), SUM(v), MIN(v) FROM fact GROUP BY k"
-        got = sorted(spilling.query(query).values())
+        got = sorted(values(spilling, query))
         assert spilling.engine.last_spill.events("group_by")
-        assert got == sorted(baseline.query(query).values())
+        assert got == sorted(values(baseline, query))
 
     def test_left_join_null_probe_keys_pad_without_spilling(self):
         spilling, baseline = _paired_dbs(2)
         for db in (spilling, baseline):
-            db.execute("INSERT INTO fact VALUES (0, NULL, 1.0), (1, 3, 2.0), "
-                       "(2, NULL, 3.0), (3, 4, 4.0), (4, 5, 5.0)")
-            db.execute("INSERT INTO dim VALUES (0, 3, 'a'), (1, 3, 'b'), "
-                       "(2, 9, 'c'), (3, 4, 'd'), (4, 6, 'e')")
+            run(db, "INSERT INTO fact VALUES (0, NULL, 1.0), (1, 3, 2.0), "
+                    "(2, NULL, 3.0), (3, 4, 4.0), (4, 5, 5.0)")
+            run(db, "INSERT INTO dim VALUES (0, 3, 'a'), (1, 3, 'b'), "
+                    "(2, 9, 'c'), (3, 4, 'd'), (4, 6, 'e')")
         query = ("SELECT fact.id, dim.id FROM fact "
                  "LEFT JOIN dim ON fact.k = dim.k")
         spilling.config.join_strategy = "hash"
         baseline.config.join_strategy = "nested_loop"
-        got = sorted(spilling.query(query).values(), key=repr)
-        assert got == sorted(baseline.query(query).values(), key=repr)
+        got = sorted(values(spilling, query), key=repr)
+        assert got == sorted(values(baseline, query), key=repr)
 
     def test_nan_join_keys_bucket_together_through_spill(self):
         """NaN keys: all NaNs share one bucket (NaN = NaN, matching the
@@ -234,8 +235,8 @@ class TestPartitionRecursion:
         rows_a = [NAN, 1.0, 2.0, NAN, 3.0, None, 2.0]
         rows_b = [2.0, NAN, NAN, None, 5.0, 1.0]
         for db in (spilling, baseline):
-            db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, x FLOAT)")
-            db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, y FLOAT)")
+            run(db, "CREATE TABLE a (id INTEGER PRIMARY KEY, x FLOAT)")
+            run(db, "CREATE TABLE b (id INTEGER PRIMARY KEY, y FLOAT)")
             for i, x in enumerate(rows_a):
                 db.table("a").insert_row({"id": i, "x": x})
             for i, y in enumerate(rows_b):
@@ -243,9 +244,9 @@ class TestPartitionRecursion:
         query = "SELECT a.id, b.id FROM a, b WHERE a.x = b.y"
         spilling.config.join_strategy = "hash"
         baseline.config.join_strategy = "nested_loop"
-        got = sorted(spilling.query(query).values())
+        got = sorted(values(spilling, query))
         assert spilling.engine.last_spill.spilled
-        assert got == sorted(baseline.query(query).values())
+        assert got == sorted(values(baseline, query))
 
 
 class TestSetOperationNaN:
@@ -261,13 +262,13 @@ class TestSetOperationNaN:
                   "b": [1.0, NAN, None, 3.0, NAN],
                   "c": [1.0, None]}
         for name, values in tables.items():
-            db.execute(f"CREATE TABLE {name} (x FLOAT)")
+            run(db, f"CREATE TABLE {name} (x FLOAT)")
             for value in values:
                 db.table(name).insert_row({"x": value})
         return db
 
     def run(self, db, query):
-        rows = [repr(row[0]) for row in db.query(query).values()]
+        rows = [repr(row[0]) for row in values(db, query)]
         assert db.engine.last_spill.spilled == \
             (db.config.memory_budget_rows is not None)
         return rows
@@ -293,14 +294,14 @@ def test_distinct_aggregates_count_nan_once(budget):
     the in-memory seen-set (budget 2) or only in the spilled overflow
     (budget 1 freezes the seen-set before the first NaN)."""
     db = Database(memory_budget_rows=budget)
-    db.execute("CREATE TABLE t (x FLOAT, y INTEGER)")
+    run(db, "CREATE TABLE t (x FLOAT, y INTEGER)")
     rows = [(1.0, 1), (2.0, 1), (None, None), (NAN, 2), (1.0, 5), (NAN, 2),
             (2.0, 5), (NAN, 1)]
     for x, y in rows:
         db.table("t").insert_row({"x": x, "y": y})
-    ((count_x, sum_x, count_y, sum_y),) = db.query(
-        "SELECT COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(DISTINCT y), "
-        "SUM(DISTINCT y) FROM t").values()
+    ((count_x, sum_x, count_y, sum_y),) = values(
+        db, "SELECT COUNT(DISTINCT x), SUM(DISTINCT x), COUNT(DISTINCT y), "
+        "SUM(DISTINCT y) FROM t")
     assert (count_x, count_y, sum_y) == (3, 3, 8)
     assert math.isnan(sum_x)
     events = db.engine.last_spill.events("distinct_aggregate")
@@ -314,8 +315,8 @@ def test_distinct_aggregates_count_nan_once(budget):
 def large_db() -> Database:
     """Inputs far larger than the budget used by the bounded-memory tests."""
     db = Database()
-    db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER, v FLOAT)")
-    db.execute("CREATE TABLE dim (id INTEGER PRIMARY KEY, k INTEGER)")
+    run(db, "CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER, v FLOAT)")
+    run(db, "CREATE TABLE dim (id INTEGER PRIMARY KEY, k INTEGER)")
     big, dim = db.table("big"), db.table("dim")
     for i in range(20_000):
         big.insert_row({"id": i, "k": i % 50, "v": i * 0.5})
@@ -331,7 +332,7 @@ def _drain_peak(db: Database, query: str, budget) -> tuple:
     db.config.join_strategy = "hash"
     try:
         tracemalloc.start()
-        count = sum(1 for _ in db.stream(query))
+        count = sum(1 for _ in run(db, query))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -368,10 +369,10 @@ def test_group_by_larger_than_budget_has_bounded_peak_memory(large_db):
     # Same aggregates either way.
     large_db.config.memory_budget_rows = 1_000
     try:
-        spilled = sorted(large_db.query(query).values())
+        spilled = sorted(values(large_db, query))
     finally:
         large_db.config.memory_budget_rows = None
-    assert spilled == sorted(large_db.query(query).values())
+    assert spilled == sorted(values(large_db, query))
 
 
 def test_global_aggregate_streams_without_buffering(large_db):
@@ -384,7 +385,7 @@ def test_global_aggregate_streams_without_buffering(large_db):
     assert not large_db.engine.last_spill.spilled
     # Peak is scan/page overhead, not per-row aggregate state.
     assert peak < 2 * 1024 * 1024
-    result = large_db.query(query).values()[0]
+    result = values(large_db, query)[0]
     assert result[0] == 20_000 and result[2] == 0.0
     assert result[4] == pytest.approx(sum(i * 0.5 for i in range(20_000))
                                       / 20_000)
@@ -417,14 +418,14 @@ def test_spilled_distinct_recurses_on_high_cardinality(large_db):
     assert spilled_peak < in_memory_peak / 1.5
     # Order check at a size where the full comparison is cheap.
     db = Database()
-    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+    run(db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
     for i in range(500):
         db.table("t").insert_row({"id": i, "v": i % 7 if i % 2 else i})
     baseline = [row.values for row in
-                db.query("SELECT DISTINCT v FROM t ORDER BY v").rows]
+                fetch(db, "SELECT DISTINCT v FROM t ORDER BY v")]
     db.config.memory_budget_rows = 20
     got = [row.values for row in
-           db.query("SELECT DISTINCT v FROM t ORDER BY v").rows]
+           fetch(db, "SELECT DISTINCT v FROM t ORDER BY v")]
     assert got == baseline
 
 
@@ -432,12 +433,12 @@ def test_external_sort_larger_than_budget(large_db):
     query = "SELECT id, v FROM big ORDER BY v DESC"
     large_db.config.memory_budget_rows = 2_000
     try:
-        head = large_db.query(query + " LIMIT 3").values()
+        head = values(large_db, query + " LIMIT 3")
         (event,) = large_db.engine.last_spill.events("sort")
         assert event["runs"] == 10
     finally:
         large_db.config.memory_budget_rows = None
-    assert head == large_db.query(query + " LIMIT 3").values()
+    assert head == values(large_db, query + " LIMIT 3")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ class TestSpillSurface:
         large_db.config.memory_budget_rows = 2_000
         large_db.config.join_strategy = "hash"
         try:
-            large_db.query(query)
+            fetch(large_db, query)
             plan = large_db.engine.last_plan
             (event,) = large_db.engine.last_spill.events("hash_join")
             assert plan.spill_partitions == event["partitions"] == 10
@@ -527,21 +528,21 @@ class TestSpillSurface:
         never propagate through a hash join: the rows stay sorted and
         ``last_sort_elided`` is False."""
         db = Database()
-        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, v INTEGER)")
-        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, fk INTEGER)")
+        run(db, "CREATE TABLE a (id INTEGER PRIMARY KEY, v INTEGER)")
+        run(db, "CREATE TABLE b (id INTEGER PRIMARY KEY, fk INTEGER)")
         for i in range(600):
             db.table("a").insert_row({"id": i, "v": (i * 389) % 600})
         for i in range(150):
             db.table("b").insert_row({"id": i, "fk": (i * 7) % 600})
-        db.execute("CREATE INDEX ix_a_v ON a (v) USING btree")
+        run(db, "CREATE INDEX ix_a_v ON a (v) USING btree")
         db.analyze()
         query = ("SELECT a.v, b.id FROM a, b WHERE a.id = b.fk "
                  "AND a.v > 5 AND a.v < 590 ORDER BY a.v LIMIT 50")
         db.config.join_strategy = "hash"
-        baseline = db.query(query).values()
+        baseline = values(db, query)
         db.config.memory_budget_rows = 50
         try:
-            got = db.query(query).values()
+            got = values(db, query)
             assert not db.engine.last_sort_elided
             assert db.engine.last_spill.events("hash_join")
         finally:
@@ -558,7 +559,7 @@ class TestSpillSurface:
         try:
             explained = large_db.explain(query)
             assert "Aggregate [spill: 20 partitions]" in explained.message
-            large_db.query(query)
+            fetch(large_db, query)
             (event,) = large_db.engine.last_spill.events("group_by")
             assert event["partitions"] == 20
         finally:
@@ -572,8 +573,8 @@ class TestSpillSurface:
         from repro.planner import plan as planlib
         from repro.planner.plan import plan_strategies
         db = Database()
-        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
-        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, fk INTEGER)")
+        run(db, "CREATE TABLE a (id INTEGER PRIMARY KEY)")
+        run(db, "CREATE TABLE b (id INTEGER PRIMARY KEY, fk INTEGER)")
         for i in range(50):
             db.table("a").insert_row({"id": i})
             db.table("b").insert_row({"id": i, "fk": i})
@@ -582,10 +583,10 @@ class TestSpillSurface:
         monkeypatch.setattr(planlib, "HASH_JOIN_MAX_BUILD_ROWS", 10)
         query = "SELECT a.id FROM a, b WHERE a.id = b.fk"
         try:
-            db.query(query)
+            fetch(db, query)
             assert plan_strategies(db.engine.last_plan) == ["merge"]
             db.config.memory_budget_rows = 20
-            result = db.query(query)
+            result = fetch(db, query)
             assert plan_strategies(db.engine.last_plan) == ["hash"]
             assert db.engine.last_spill.events("hash_join")
             assert len(result) == 50
@@ -595,9 +596,9 @@ class TestSpillSurface:
     def test_last_spill_resets_per_query(self, large_db):
         large_db.config.memory_budget_rows = 2_000
         try:
-            large_db.query("SELECT k, COUNT(*) FROM big GROUP BY k")
+            fetch(large_db, "SELECT k, COUNT(*) FROM big GROUP BY k")
             assert large_db.engine.last_spill.spilled
-            large_db.query("SELECT id FROM big LIMIT 1")
+            fetch(large_db, "SELECT id FROM big LIMIT 1")
             assert not large_db.engine.last_spill.spilled
         finally:
             large_db.config.memory_budget_rows = None
@@ -609,28 +610,28 @@ class TestSpillSurface:
 def build_spill_db() -> Database:
     """Two annotated tables sized so every breaker spills under budget 48."""
     db = Database()
-    db.execute("CREATE TABLE fact (id INTEGER, k INTEGER, v FLOAT, s TEXT)")
-    db.execute("CREATE TABLE dim (k INTEGER, label TEXT)")
-    db.execute("CREATE ANNOTATION TABLE fnote ON fact")
-    db.execute("CREATE ANNOTATION TABLE dnote ON dim")
+    run(db, "CREATE TABLE fact (id INTEGER, k INTEGER, v FLOAT, s TEXT)")
+    run(db, "CREATE TABLE dim (k INTEGER, label TEXT)")
+    run(db, "CREATE ANNOTATION TABLE fnote ON fact")
+    run(db, "CREATE ANNOTATION TABLE dnote ON dim")
     for i in range(600):
         k = "NULL" if i % 13 == 0 else str(i % 40)
-        db.execute(f"INSERT INTO fact VALUES ({i}, {k}, {(i * 37) % 100}.25, "
-                   f"'s{i % 23}')")
+        run(db, f"INSERT INTO fact VALUES ({i}, {k}, {(i * 37) % 100}.25, "
+                f"'s{i % 23}')")
     for i in range(90):
         k = "NULL" if i % 11 == 0 else str(i % 50)
-        db.execute(f"INSERT INTO dim VALUES ({k}, 'd{i % 7}')")
+        run(db, f"INSERT INTO dim VALUES ({k}, 'd{i % 7}')")
     # NaN sort/group keys can't be written as SQL literals; plant them
     # through the catalog so the matrix covers NaN bucketing too.
     fact = db.catalog.table("fact")
     for tuple_id in range(0, 600, 17):
         fact.update_row(tuple_id, {"v": NAN})
-    db.execute("ADD ANNOTATION TO fact.fnote VALUE 'hot row' "
-               "ON (SELECT f.id FROM fact f WHERE f.id < 120)")
-    db.execute("ADD ANNOTATION TO fact.fnote VALUE 'curated' "
-               "ON (SELECT f.s FROM fact f WHERE f.k = 7)")
-    db.execute("ADD ANNOTATION TO dim.dnote VALUE 'dimension' "
-               "ON (SELECT d.label FROM dim d WHERE d.k < 25)")
+    run(db, "ADD ANNOTATION TO fact.fnote VALUE 'hot row' "
+            "ON (SELECT f.id FROM fact f WHERE f.id < 120)")
+    run(db, "ADD ANNOTATION TO fact.fnote VALUE 'curated' "
+            "ON (SELECT f.s FROM fact f WHERE f.k = 7)")
+    run(db, "ADD ANNOTATION TO dim.dnote VALUE 'dimension' "
+            "ON (SELECT d.label FROM dim d WHERE d.k < 25)")
     return db
 
 
@@ -670,7 +671,7 @@ BUDGET = 48
 def ordered_snapshot(result):
     """Exact output: values, order, and annotation identity per column."""
     rows = []
-    for row in result.rows:
+    for row in result:
         annotations = tuple(
             tuple(sorted((a.annotation_table, a.ann_id) for a in anns))
             for anns in row.annotations
@@ -680,7 +681,7 @@ def ordered_snapshot(result):
 
 
 def run_shape(db: Database, query: str, budget, strategy: str = "auto",
-              consumer: str = "drained"):
+              consumer: str = "fetchall"):
     db.config.memory_budget_rows = budget
     db.config.join_strategy = strategy
     try:
@@ -785,13 +786,13 @@ def test_every_spilling_operator_records_partition_timings(spill_db):
 class TestBuildSideSwap:
     def build_db(self):
         db = Database()
-        db.execute("CREATE TABLE small (k INTEGER, a TEXT)")
-        db.execute("CREATE TABLE big (k INTEGER, b TEXT)")
+        run(db, "CREATE TABLE small (k INTEGER, a TEXT)")
+        run(db, "CREATE TABLE big (k INTEGER, b TEXT)")
         for i in range(30):
-            db.execute(f"INSERT INTO small VALUES ({i % 20}, 'a{i}')")
+            run(db, f"INSERT INTO small VALUES ({i % 20}, 'a{i}')")
         for i in range(400):
-            db.execute(f"INSERT INTO big VALUES ({i % 20}, 'b{i}')")
-        db.execute("ANALYZE")
+            run(db, f"INSERT INTO big VALUES ({i % 20}, 'b{i}')")
+        run(db, "ANALYZE")
         return db
 
     QUERY = ("SELECT small.a, big.b FROM small JOIN big "
@@ -801,7 +802,7 @@ class TestBuildSideSwap:
         db = self.build_db()
         db.config.join_strategy = "hash"
         db.config.memory_budget_rows = 100
-        db.query(self.QUERY)
+        fetch(db, self.QUERY)
         plan = db.engine.last_plan
         # big (400 rows) exceeds the budget, small (30) fits: the planner
         # must make small the build (right) side instead of spilling big.
@@ -811,23 +812,23 @@ class TestBuildSideSwap:
     def test_no_swap_without_budget(self):
         db = self.build_db()
         db.config.join_strategy = "hash"
-        db.query(self.QUERY)
+        fetch(db, self.QUERY)
         assert db.engine.last_plan.right.table == "big"
 
     def test_left_join_never_swaps(self):
         db = self.build_db()
         db.config.join_strategy = "hash"
         db.config.memory_budget_rows = 100
-        db.query("SELECT small.a, big.b FROM small LEFT JOIN big "
-                 "ON small.k = big.k")
+        fetch(db, "SELECT small.a, big.b FROM small LEFT JOIN big "
+                  "ON small.k = big.k")
         assert db.engine.last_plan.right.table == "big"
 
     def test_swapped_join_matches_unswapped_rows(self):
         db = self.build_db()
         db.config.join_strategy = "hash"
-        baseline = sorted(tuple(r.values) for r in db.query(self.QUERY).rows)
+        baseline = sorted(tuple(r.values) for r in fetch(db, self.QUERY))
         db.config.memory_budget_rows = 100
-        swapped = sorted(tuple(r.values) for r in db.query(self.QUERY).rows)
+        swapped = sorted(tuple(r.values) for r in fetch(db, self.QUERY))
         assert swapped == baseline
 
 

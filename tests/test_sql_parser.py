@@ -294,7 +294,7 @@ class TestParameterPlaceholders:
         from repro.core.errors import ProgrammingError
         with pytest.raises(ProgrammingError) as excinfo:
             parse_statement("SELECT 1; SELECT 2")
-        assert "execute_script" in str(excinfo.value)
+        assert "executescript" in str(excinfo.value)
 
     def test_trailing_semicolons_still_allowed(self):
         statement = parse_statement("SELECT 1;;")

@@ -2,7 +2,7 @@
 
 Covers the three PR-2 planner/executor features end to end:
 
-* streaming iterators — ``Database.stream``, lazy pipelines and LIMIT
+* streaming iterators — cursors over lazy pipelines and LIMIT
   short-circuiting;
 * residual-conjunct pushdown to the lowest covering plan node;
 * index access paths — point ``IndexScan`` leaves and index-nested-loop
@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, EngineConfig, ResultSet, StreamingResultSet
-from repro.core.errors import ExecutionError
+from repro import (
+    Database,
+    EngineConfig,
+    OperationalError,
+    ProgrammingError,
+)
 from repro.planner.plan import (
     format_expression,
     plan_access_paths,
@@ -23,18 +27,19 @@ from repro.planner.plan import (
 )
 from repro.sql.parser import parse_expression
 from repro.storage.heap_file import HeapFile
+from sql_helpers import fetch, run, values
 
 
 def build_db() -> Database:
     db = Database()
-    db.execute("CREATE TABLE gene (gid TEXT PRIMARY KEY, name TEXT, score FLOAT)")
-    db.execute("CREATE TABLE protein (pid INTEGER PRIMARY KEY, gid TEXT, "
-               "kind TEXT, score FLOAT)")
+    run(db, "CREATE TABLE gene (gid TEXT PRIMARY KEY, name TEXT, score FLOAT)")
+    run(db, "CREATE TABLE protein (pid INTEGER PRIMARY KEY, gid TEXT, "
+            "kind TEXT, score FLOAT)")
     for i in range(20):
-        db.execute(f"INSERT INTO gene VALUES ('G{i}', 'gene{i}', {i * 1.5})")
+        run(db, f"INSERT INTO gene VALUES ('G{i}', 'gene{i}', {i * 1.5})")
     for i in range(60):
         gid = f"'G{i % 25}'" if i % 7 else "NULL"
-        db.execute(f"INSERT INTO protein VALUES ({i}, {gid}, 'k{i % 3}', {i * 0.5})")
+        run(db, f"INSERT INTO protein VALUES ({i}, {gid}, 'k{i % 3}', {i * 0.5})")
     return db
 
 
@@ -45,8 +50,8 @@ def db() -> Database:
 
 @pytest.fixture()
 def indexed(db) -> Database:
-    db.execute("CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
-    db.execute("CREATE INDEX ix_gene_gid ON gene (gid) USING hash")
+    run(db, "CREATE INDEX ix_protein_gid ON protein (gid) USING btree")
+    run(db, "CREATE INDEX ix_gene_gid ON gene (gid) USING hash")
     return db
 
 
@@ -54,31 +59,32 @@ def indexed(db) -> Database:
 # Streaming surface
 # ---------------------------------------------------------------------------
 class TestStreamingSurface:
-    def test_stream_returns_streaming_result(self, db):
-        stream = db.stream("SELECT gid FROM gene WHERE score > 3")
-        assert isinstance(stream, StreamingResultSet)
-        assert stream.columns == ["gid"]
-        rows = list(stream)
+    def test_cursor_streams_query_rows(self, db):
+        cursor = run(db, "SELECT gid FROM gene WHERE score > 3")
+        assert [column[0] for column in cursor.description] == ["gid"]
+        rows = list(cursor)
         assert len(rows) == 17
 
     def test_stream_fetchmany_then_fetchall(self, db):
-        stream = db.stream("SELECT gid FROM gene ORDER BY gid")
-        assert stream.fetchmany(0) == []  # must not consume a row
-        head = stream.fetchmany(2)
+        cursor = run(db, "SELECT gid FROM gene ORDER BY gid")
+        assert cursor.fetchmany(0) == []  # must not consume a row
+        head = cursor.fetchmany(2)
         assert [row.values[0] for row in head] == ["G0", "G1"]
-        rest = stream.fetchall()
-        assert isinstance(rest, ResultSet)
+        rest = cursor.fetchall()
+        assert isinstance(rest, list)
         assert len(rest) == 18
 
-    def test_stream_rejects_non_queries(self, db):
-        with pytest.raises(ExecutionError):
-            db.stream("DELETE FROM gene WHERE score > 3")
+    def test_non_queries_leave_no_stream(self, db):
+        cursor = run(db, "DELETE FROM gene WHERE score > 3")
+        with pytest.raises(ProgrammingError):
+            cursor.fetchone()
 
     def test_stream_checks_privileges_eagerly(self, db):
-        db.execute("GRANT SELECT ON protein TO alice")
+        run(db, "GRANT SELECT ON protein TO alice")
         from repro.core.errors import AuthorizationError
-        with pytest.raises(AuthorizationError):
-            db.stream("SELECT gid FROM gene", user="alice")
+        with pytest.raises(OperationalError) as info:
+            run(db, "SELECT gid FROM gene", user="alice")
+        assert isinstance(info.value.__cause__, AuthorizationError)
 
     def test_group_by_matches_table_scan(self, db):
         query = ("SELECT kind, COUNT(*) AS n FROM protein WHERE pid < 40 "
@@ -87,11 +93,11 @@ class TestStreamingSurface:
         for _, (pid, _gid, kind, _score) in db.table("protein").scan():
             if pid < 40:
                 counts[kind] = counts.get(kind, 0) + 1
-        assert db.query(query).values() == sorted(counts.items())
+        assert values(db, query) == sorted(counts.items())
 
     def test_set_operations_stream(self, db):
-        stream = db.stream(
-            "SELECT gid FROM gene INTERSECT SELECT gid FROM protein")
+        stream = run(
+            db, "SELECT gid FROM gene INTERSECT SELECT gid FROM protein")
         values = sorted(row.values[0] for row in stream)
         assert values == sorted({f"G{i % 25}" for i in range(60)
                                  if i % 7 and i % 25 < 20})
@@ -110,9 +116,9 @@ class TestResidualPushdown:
             ["g.score < p.score"]
 
     def test_three_way_join_filter_attaches_below_root(self, db):
-        db.execute("CREATE TABLE sample (sid INTEGER PRIMARY KEY, pid INTEGER)")
+        run(db, "CREATE TABLE sample (sid INTEGER PRIMARY KEY, pid INTEGER)")
         for i in range(10):
-            db.execute(f"INSERT INTO sample VALUES ({i}, {i * 2})")
+            run(db, f"INSERT INTO sample VALUES ({i}, {i * 2})")
         # The greedy order joins (protein, sample) first; a p/s comparison
         # must land on that lower join, not on the root above gene.
         query = ("SELECT g.gid FROM gene g, protein p, sample s "
@@ -140,9 +146,9 @@ class TestResidualPushdown:
         assert plan_qualifiers(plan) > plan_qualifiers(node)
         # And the filtered query agrees with the naive pipeline.
         db.config.join_strategy = "nested_loop"
-        baseline = sorted(db.query(query).values())
+        baseline = sorted(values(db, query))
         db.config.join_strategy = "auto"
-        assert sorted(db.query(query).values()) == baseline
+        assert sorted(values(db, query)) == baseline
 
     def test_where_over_left_join_still_filters_padded_rows(self, db):
         # The conjunct references the nullable side: it attaches AT the LEFT
@@ -150,12 +156,12 @@ class TestResidualPushdown:
         query = ("SELECT g.gid, p.pid FROM gene g "
                  "LEFT JOIN protein p ON g.gid = p.gid WHERE p.kind = 'k1'")
         db.config.join_strategy = "nested_loop"
-        baseline = sorted(db.query(query).values())
+        baseline = sorted(values(db, query))
         db.config.join_strategy = "auto"
-        assert sorted(db.query(query).values()) == baseline
+        assert sorted(values(db, query)) == baseline
         plan = db.engine.last_plan
         assert [format_expression(c) for c in plan.filters] == ["p.kind = 'k1'"]
-        assert not any(value is None for _, value in db.query(query).values())
+        assert not any(value is None for _, value in values(db, query))
 
     def test_unplaceable_conjunct_stays_in_top_residual(self, db):
         explained = db.explain(
@@ -180,11 +186,11 @@ class TestIndexAccessPaths:
 
     def test_index_scan_results_match_seq_scan(self, indexed):
         query = "SELECT pid FROM protein WHERE gid = 'G3'"
-        with_index = sorted(indexed.query(query).values())
+        with_index = sorted(values(indexed, query))
         assert plan_access_paths(indexed.engine.last_plan) == ["index_lookup"]
         indexed.config.use_indexes = False
         try:
-            without_index = sorted(indexed.query(query).values())
+            without_index = sorted(values(indexed, query))
             assert plan_access_paths(indexed.engine.last_plan) == ["seq"]
         finally:
             indexed.config.use_indexes = True
@@ -193,11 +199,11 @@ class TestIndexAccessPaths:
 
     def test_cross_type_equality_never_picks_index(self, indexed):
         # gid is TEXT; an integer literal must not be probed into the B-tree.
-        indexed.query("SELECT pid FROM protein WHERE gid = 3")
+        fetch(indexed, "SELECT pid FROM protein WHERE gid = 3")
         assert plan_access_paths(indexed.engine.last_plan) == ["seq"]
 
     def test_null_equality_never_picks_index(self, indexed):
-        result = indexed.query("SELECT pid FROM protein WHERE gid = NULL")
+        result = fetch(indexed, "SELECT pid FROM protein WHERE gid = NULL")
         assert plan_access_paths(indexed.engine.last_plan) == ["seq"]
         assert len(result) == 0
 
@@ -214,10 +220,10 @@ class TestIndexAccessPaths:
         query = ("SELECT g.gid, p.pid FROM gene g, protein p "
                  "WHERE g.gid = p.gid AND p.kind = 'k1' AND g.score > 3")
         indexed.config.join_strategy = "nested_loop"
-        baseline = sorted(indexed.query(query).values())
+        baseline = sorted(values(indexed, query))
         indexed.config.join_strategy = "index_nested_loop"
         try:
-            candidate = sorted(indexed.query(query).values())
+            candidate = sorted(values(indexed, query))
             assert plan_strategies(indexed.engine.last_plan) == ["index_nested_loop"]
         finally:
             indexed.config.join_strategy = "auto"
@@ -226,8 +232,8 @@ class TestIndexAccessPaths:
     def test_use_indexes_false_disables_index_paths(self, indexed):
         indexed.config.use_indexes = False
         try:
-            indexed.query(
-                "SELECT g.gid, p.pid FROM gene g, protein p WHERE g.gid = p.gid")
+            fetch(
+                indexed, "SELECT g.gid, p.pid FROM gene g, protein p WHERE g.gid = p.gid")
             assert "index_nested_loop" not in plan_strategies(indexed.engine.last_plan)
             assert set(plan_access_paths(indexed.engine.last_plan)) == {"seq"}
         finally:
@@ -238,39 +244,39 @@ class TestIndexAccessPaths:
         # a one-column hash index by set-dedup but probe it with a two-value
         # key, silently returning no matches.  Such edges must not take the
         # index path, and results must agree with the naive pipeline.
-        db.execute("INSERT INTO gene VALUES ('GX', 'GX', 1.0)")
-        db.execute("INSERT INTO protein VALUES (900, 'GX', 'kx', 1.0)")
-        db.execute("CREATE INDEX ix_hash_gid ON protein (gid) USING hash")
+        run(db, "INSERT INTO gene VALUES ('GX', 'GX', 1.0)")
+        run(db, "INSERT INTO protein VALUES (900, 'GX', 'kx', 1.0)")
+        run(db, "CREATE INDEX ix_hash_gid ON protein (gid) USING hash")
         query = ("SELECT g.gid, p.pid FROM gene g, protein p "
                  "WHERE g.gid = p.gid AND g.name = p.gid")
         db.config.join_strategy = "nested_loop"
-        baseline = sorted(db.query(query).values())
+        baseline = sorted(values(db, query))
         assert ("GX", 900) in baseline  # the shape must produce real matches
         for strategy in ("auto", "index_nested_loop"):
             db.config.join_strategy = strategy
             try:
-                assert sorted(db.query(query).values()) == baseline
+                assert sorted(values(db, query)) == baseline
                 assert "index_nested_loop" not in \
                     plan_strategies(db.engine.last_plan)
             finally:
                 db.config.join_strategy = "auto"
 
     def test_dropped_index_falls_back_to_hash(self, indexed):
-        indexed.execute("DROP INDEX ix_protein_gid")
-        indexed.query(
-            "SELECT g.gid, p.pid FROM gene g, protein p WHERE g.gid = p.gid")
+        run(indexed, "DROP INDEX ix_protein_gid")
+        fetch(
+            indexed, "SELECT g.gid, p.pid FROM gene g, protein p WHERE g.gid = p.gid")
         assert "index_nested_loop" not in plan_strategies(indexed.engine.last_plan)
 
     def test_index_join_after_dml_sees_fresh_rows(self, indexed):
-        indexed.execute("INSERT INTO protein VALUES (990, 'G1', 'kz', 0.1)")
-        indexed.execute("UPDATE protein SET gid = 'G2' WHERE pid = 990")
-        indexed.execute("DELETE FROM protein WHERE pid = 8")
+        run(indexed, "INSERT INTO protein VALUES (990, 'G1', 'kz', 0.1)")
+        run(indexed, "UPDATE protein SET gid = 'G2' WHERE pid = 990")
+        run(indexed, "DELETE FROM protein WHERE pid = 8")
         query = "SELECT g.gid, p.pid FROM gene g, protein p WHERE g.gid = p.gid"
         indexed.config.join_strategy = "nested_loop"
-        baseline = sorted(indexed.query(query).values())
+        baseline = sorted(values(indexed, query))
         indexed.config.join_strategy = "index_nested_loop"
         try:
-            assert sorted(indexed.query(query).values()) == baseline
+            assert sorted(values(indexed, query)) == baseline
         finally:
             indexed.config.join_strategy = "auto"
         assert ("G2", 990) in baseline
@@ -304,20 +310,20 @@ class TestLimitShortCircuit:
 
     def test_limit_stops_the_scan(self, paged):
         db, decoded = paged
-        result = db.query("SELECT pid FROM protein LIMIT 5")
-        assert result.values() == [(i,) for i in range(5)]
+        result = values(db, "SELECT pid FROM protein LIMIT 5")
+        assert result == [(i,) for i in range(5)]
         assert 0 < len(decoded) <= 2
 
     def test_limit_with_filter_scans_only_until_satisfied(self, paged):
         db, decoded = paged
         # kind = 'k2' matches every third row: 3 matches need ~9 scanned rows.
-        result = db.query("SELECT pid FROM protein WHERE kind = 'k2' LIMIT 3")
-        assert result.values() == [(2,), (5,), (8,)]
+        result = values(db, "SELECT pid FROM protein WHERE kind = 'k2' LIMIT 3")
+        assert result == [(2,), (5,), (8,)]
         assert 0 < len(decoded) <= 2
 
     def test_offset_and_limit_return_the_ordered_window(self, db):
         query = "SELECT pid FROM protein ORDER BY pid LIMIT 7 OFFSET 5"
-        assert db.query(query).values() == [(i,) for i in range(5, 12)]
+        assert values(db, query) == [(i,) for i in range(5, 12)]
 
 
 # ---------------------------------------------------------------------------

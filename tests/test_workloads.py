@@ -22,6 +22,7 @@ from repro.workloads import (
     secondary_structure_sequence,
     structure_points,
 )
+from sql_helpers import values
 
 
 class TestSequenceGenerators:
@@ -96,8 +97,8 @@ class TestWorkloadBuilders:
         assert len(ids["genematching"]) == 5
         # Every protein references an existing gene and its sequence is the
         # deterministic derivation of that gene's sequence.
-        genes = {gid: seq for gid, _, seq in db.query("SELECT * FROM Gene").values()}
-        for pname, gid, pseq, _ in db.query("SELECT * FROM Protein").values():
+        genes = {gid: seq for gid, _, seq in values(db, "SELECT * FROM Gene")}
+        for pname, gid, pseq, _ in values(db, "SELECT * FROM Protein"):
             assert gid in genes
             assert pseq
         # The dependency rules of Figure 9 are registered.

@@ -1,7 +1,7 @@
 """Docs sanity checker: every internal markdown link must resolve,
 docs/TUNING.md must document exactly the knobs ``EngineConfig`` has, and
-the docs name only ``engine.last_*`` surfaces that ``Engine`` defines and
-only ``EngineConfig`` fields that exist.
+the docs name only ``engine.last_*`` surfaces that ``Engine`` defines, only
+``EngineConfig`` fields that exist and only ``Database`` methods that exist.
 
 Usage (CI): ``python tools/check_docs.py``
 
@@ -28,8 +28,10 @@ and fails on any name ``repro.executor.engine.Engine`` does not define, so
 a removed per-query surface cannot stay documented.  The config check reads
 the same files for ``EngineConfig.<name>`` and ``db.config.<name>`` and
 fails on any name that is not an ``EngineConfig`` field, so a removed knob
-cannot stay documented either.  CHANGES.md and ROADMAP.md are history and
-may name removed surfaces and knobs.
+cannot stay documented either.  The facade check fails on any
+``db.<name>(`` call in the same files whose name ``repro.Database`` does not
+define, so a deleted entry point cannot stay documented.  CHANGES.md and
+ROADMAP.md are history and may name removed surfaces and knobs.
 
 Exits non-zero listing every problem.
 """
@@ -52,6 +54,7 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 _KNOB_HEADING = re.compile(r"^### `(\w+)`", re.MULTILINE)
 _ENGINE_SURFACE = re.compile(r"engine\.(last_\w+)")
 _CONFIG_NAME = re.compile(r"\b(?:EngineConfig|db\.config)\.(\w+)")
+_DATABASE_CALL = re.compile(r"\bdb\.(\w+)\(")
 
 
 def github_slug(heading: str) -> str:
@@ -114,6 +117,13 @@ def engine_surfaces() -> set:
     return {name for name in dir(Engine) if name.startswith("last_")}
 
 
+def database_attributes() -> set:
+    """The attributes ``repro.Database`` defines (methods and properties)."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro import Database
+    return set(dir(Database))
+
+
 def surface_files() -> list:
     """Current-API docs checked for stale ``engine.last_*`` and config
     names."""
@@ -135,6 +145,12 @@ def check_config_names(relative: str, text: str, fields: set) -> list:
     that name no ``EngineConfig`` field."""
     return [f"{relative}: EngineConfig.{name} is not an EngineConfig field"
             for name in sorted(set(_CONFIG_NAME.findall(text)) - fields)]
+
+
+def check_database_calls(relative: str, text: str, attributes: set) -> list:
+    """``db.<name>(`` calls in ``text`` that name no ``Database`` attribute."""
+    return [f"{relative}: db.{name}() is not a Database attribute"
+            for name in sorted(set(_DATABASE_CALL.findall(text)) - attributes)]
 
 
 def check_knobs(tuning_text: str, fields: set) -> list:
@@ -159,12 +175,14 @@ def main() -> int:
               encoding="utf-8") as handle:
         problems.extend(check_knobs(handle.read(), fields))
     surfaces = engine_surfaces()
+    attributes = database_attributes()
     for path in surface_files():
         relative = os.path.relpath(path, REPO_ROOT)
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         problems.extend(check_surfaces(relative, text, surfaces))
         problems.extend(check_config_names(relative, text, fields))
+        problems.extend(check_database_calls(relative, text, attributes))
     for problem in problems:
         print(problem)
     print(f"checked {len(files)} markdown file(s): "
