@@ -108,10 +108,10 @@ INDEXED_STRATEGIES = ("auto", "hash", "merge", "index_nested_loop")
 #: Batch sizes the vectorized pipeline must be invariant under: degenerate
 #: one-row batches, a tiny ramp, and the full default.
 BATCH_SIZES = (1, 2, 1024)
-#: The two ways a caller reads the one pipeline through a DB-API cursor (the
-#: prepared-plan path): drained by ``fetchall`` and pulled a few rows at a
-#: time by ``fetchmany(3)``.
-CONSUMERS = ("fetchall", "fetchmany")
+#: The three ways a caller reads the one pipeline through a DB-API cursor (the
+#: prepared-plan path): drained by ``fetchall``, pulled a few rows at a time
+#: by ``fetchmany(3)``, and pulled row by row by ``fetchone``.
+CONSUMERS = ("fetchall", "fetchmany", "fetchone")
 
 
 def canonical(rows):
@@ -132,8 +132,12 @@ def consume(db: Database, query: str, consumer: str = "fetchall"):
     cursor = db.connect().cursor().execute(query)
     if consumer == "fetchall":
         return cursor.fetchall()
-    assert consumer == "fetchmany", consumer
     rows = []
+    if consumer == "fetchone":
+        while (row := cursor.fetchone()) is not None:
+            rows.append(row)
+        return rows
+    assert consumer == "fetchmany", consumer
     while chunk := cursor.fetchmany(3):
         rows.extend(chunk)
     return rows
